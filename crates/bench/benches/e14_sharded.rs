@@ -52,7 +52,7 @@ fn bench(c: &mut Criterion) {
                                 .shard_worker_threads(threads),
                         )
                         .expect("sharded server starts");
-                        let (wall, _lats) = drive_service(server.conn(), &schedules);
+                        let (wall, _lats) = drive_service(&server, &schedules);
                         let report = server.join().expect("sharded server joins");
                         assert_eq!(report.ops_committed, total_ops);
                         wall

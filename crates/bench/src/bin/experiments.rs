@@ -682,7 +682,7 @@ fn e14(cfg: &Cfg) {
                     .shard_worker_threads(threads),
             )
             .expect("sharded server starts");
-            let (wall, lats) = drive_service(server.conn(), &schedules);
+            let (wall, lats) = drive_service(&server, &schedules);
             let report = server.join().expect("sharded server joins");
             let counter = |name: &str| {
                 report

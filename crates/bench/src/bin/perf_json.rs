@@ -47,7 +47,7 @@ use dyncon_bench::{
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_durable::{recover, scratch_dir, FsyncPolicy, Snapshot, WalWriter};
 use dyncon_graphgen::{erdos_renyi, poisson_arrivals, zipf_client_schedules, UpdateStream};
-use dyncon_server::{ConnServer, ServerConfig};
+use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use dyncon_shard::{ShardConfig, ShardedServer};
 use dyncon_trace::TraceRecorder;
 use std::time::Duration;
@@ -354,7 +354,7 @@ fn main() {
                     .shard_worker_threads(threads),
             )
             .expect("sharded server starts");
-            let (wall, _lats) = drive_service(server.conn(), &shard_schedules);
+            let (wall, _lats) = drive_service(&server, &shard_schedules);
             let report = server.join().expect("sharded server joins");
             boundary_ops.push(
                 report
@@ -409,7 +409,7 @@ fn main() {
             );
             for ops in zipf_client_schedules(n, 1, 8, 64, 0.3, 1.1, 19).remove(0) {
                 reader_server
-                    .submit_blocking(ops)
+                    .submit_with(ops, SubmitOptions::new().blocking(true))
                     .expect("service is open")
                     .wait()
                     .expect("round commits");

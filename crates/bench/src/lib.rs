@@ -239,7 +239,7 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
     (t.elapsed(), r)
 }
 
-/// Median of `reps` runs of `f` (each run gets a fresh input from `setup`).
+/// Median of the durations `run` reports over `reps` runs.
 pub fn median_duration(reps: usize, mut run: impl FnMut() -> Duration) -> Duration {
     let mut ds: Vec<Duration> = (0..reps.max(1)).map(|_| run()).collect();
     ds.sort_unstable();
@@ -363,7 +363,7 @@ pub struct LoadReport {
 /// a slow server silently throttles the offered load.
 ///
 /// Each client runs a submitter thread (sleeps until the intended arrival,
-/// then a non-blocking [`ConnServer::submit_as`]; a
+/// then a non-blocking [`ConnServer::submit_with`] as that client; a
 /// [`DynConError::Backpressure`] reject is counted and dropped) paired
 /// with a collector thread that waits tickets in submission order and
 /// records `intended_arrival.elapsed()` — latency from the *schedule*, not

@@ -56,8 +56,8 @@ mod wal;
 pub use metrics::DurableMetrics;
 pub use recover::{compact, recover, recover_with, RoundMeta};
 pub use server::{DurableConfig, DurableReport, DurableServer};
-pub use snapshot::{Snapshot, SNAPSHOT_FILE};
-pub use wal::{read_wal, FsyncPolicy, WalReadout, WalRecord, WalWriter, WAL_FILE};
+pub use snapshot::{write_file_atomic, Snapshot, SNAPSHOT_FILE};
+pub use wal::{read_wal, storage_err, FsyncPolicy, WalReadout, WalRecord, WalWriter, WAL_FILE};
 
 // Re-exported so callers can match durable failures without a direct
 // dyncon-api dependency.

@@ -6,13 +6,10 @@ use crate::metrics::DurableMetrics;
 use crate::recover::{recover_with, RoundMeta};
 use crate::wal::{FsyncPolicy, WalWriter};
 use crate::Snapshot;
-use dyncon_api::{
-    BatchDynamic, BuildFrom, Builder, DynConError, ExportEdges, Op, ReadView, Version,
-    VersionedRead,
-};
-use dyncon_metrics::MetricsSnapshot;
-use dyncon_server::{ConnServer, ReadHandle, ServerConfig, ServiceReport, SubmitOptions, Ticket};
+use dyncon_api::{BatchDynamic, BuildFrom, Builder, DynConError, ExportEdges, Op};
+use dyncon_server::{ConnServer, ServerConfig, ServiceReport};
 use dyncon_trace::Stage;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -78,8 +75,29 @@ pub struct DurableReport<B> {
 /// round coalesced. A ticket that resolves successfully therefore
 /// implies its round is as durable as the fsync policy promises.
 ///
-/// Submission, sealing and shutdown all delegate to [`ConnServer`]; see
-/// `examples/durable_service.rs` for the end-to-end crash/recover loop.
+/// Everything else is the wrapped [`ConnServer`]'s, reached through
+/// `Deref`: submission ([`ConnServer::submit_with`]), sealing,
+/// [`ConnServer::inspect`], metrics, [`ConnServer::close`] and the
+/// [`VersionedRead`](dyncon_api::VersionedRead) surface. What the
+/// durable stack adds to them:
+///
+/// - **Versions are WAL round ids**, so they survive process restarts:
+///   a [`SubmitOptions::min_version`](dyncon_server::SubmitOptions::min_version)
+///   fence may carry a version from a previous lifetime. After `open`,
+///   [`ConnServer::newest_committed`] and the version handed to
+///   [`ConnServer::inspect_versioned`] are at least
+///   `meta.next_round - 1` (the recovered state), even before a new
+///   round commits.
+/// - **Recovered state is visible**: an inspection after `open` sees
+///   every replayed round, and with [`ServerConfig::retain_views`] > 0
+///   the recovered state is published at `open` as the first retained
+///   view. [`ConnServer::read_async`] needs `retain_views` > 0.
+/// - **One registry for the stack**: [`ConnServer::metrics_snapshot`]
+///   holds the serving metrics and the durability metrics (WAL appends,
+///   fsyncs, recovery replay) together.
+///
+/// See `examples/durable_service.rs` for the end-to-end crash/recover
+/// loop.
 pub struct DurableServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
@@ -240,27 +258,14 @@ where
         ))
     }
 
-    /// The backend's vertex universe.
-    pub fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
     /// Rounds committed by this process (excludes recovered rounds).
+    /// Kept inherent (not left to `Deref`): callers that implement a
+    /// trait with a method of this name call
+    /// `DurableServer::rounds_committed(self)` by path, and a path call
+    /// does not go through `Deref` — without this method it would
+    /// resolve to the trait method and recurse.
     pub fn rounds_committed(&self) -> u64 {
         self.inner.rounds_committed()
-    }
-
-    /// Operations committed by this process.
-    pub fn ops_committed(&self) -> u64 {
-        self.inner.ops_committed()
-    }
-
-    /// Freeze the stack's metric registry right now: serving metrics
-    /// (queue depth, round sizes, apply latency) and durability metrics
-    /// (WAL appends, fsyncs, recovery replay) in one snapshot. See
-    /// [`ConnServer::metrics_snapshot`].
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.metrics_snapshot()
     }
 
     /// Round id the next sealed round will be logged as.
@@ -269,90 +274,6 @@ where
             .lock()
             .expect("WAL writer lock poisoned")
             .next_round()
-    }
-
-    /// See [`ConnServer::submit`].
-    pub fn submit(&self, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit(ops)
-    }
-
-    /// See [`ConnServer::submit_as`].
-    pub fn submit_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit_as(client, ops)
-    }
-
-    /// See [`ConnServer::submit_blocking`].
-    pub fn submit_blocking(&self, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit_blocking(ops)
-    }
-
-    /// See [`ConnServer::submit_blocking_as`].
-    pub fn submit_blocking_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit_blocking_as(client, ops)
-    }
-
-    /// See [`ConnServer::submit_with`]. On a durable server,
-    /// [`SubmitOptions::min_version`] fences against **WAL round ids**
-    /// (versions survive process restarts), so a client may carry a
-    /// version from a previous lifetime.
-    pub fn submit_with(&self, ops: Vec<Op>, options: SubmitOptions) -> Result<Ticket, DynConError> {
-        self.inner.submit_with(ops, options)
-    }
-
-    /// See [`ConnServer::seal_round`].
-    pub fn seal_round(&self) -> usize {
-        self.inner.seal_round()
-    }
-
-    /// See [`ConnServer::inspect`]. The closure observes recovered state
-    /// too: after `open`, an inspection sees every replayed round.
-    pub fn inspect<R, F>(&self, f: F) -> Result<R, DynConError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&B) -> R + Send + 'static,
-    {
-        self.inner.inspect(f)
-    }
-
-    /// See [`ConnServer::inspect_versioned`]. The version the closure is
-    /// handed is a WAL round id; right after `open` it is
-    /// `meta.next_round - 1` (the recovered state), not `None`.
-    pub fn inspect_versioned<R, F>(&self, f: F) -> Result<R, DynConError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&B, Option<Version>) -> R + Send + 'static,
-    {
-        self.inner.inspect_versioned(f)
-    }
-
-    /// The newest committed version (a WAL round id); after recovery at
-    /// least `meta.next_round - 1` even before any new round commits.
-    pub fn newest_committed(&self) -> Option<Version> {
-        self.inner.newest_committed()
-    }
-
-    /// See [`ConnServer::read_async`]. Requires
-    /// [`ServerConfig::retain_views`] > 0 at `open`.
-    pub fn read_async<R, F>(&self, f: F) -> ReadHandle<Result<R, DynConError>>
-    where
-        R: Send + 'static,
-        F: FnOnce(&ReadView) -> R + Send + 'static,
-    {
-        self.inner.read_async(f)
-    }
-
-    /// See [`ConnServer::read_async_at`].
-    pub fn read_async_at<R, F>(&self, version: Version, f: F) -> ReadHandle<Result<R, DynConError>>
-    where
-        R: Send + 'static,
-        F: FnOnce(&ReadView) -> R + Send + 'static,
-    {
-        self.inner.read_async_at(version, f)
-    }
-
-    /// See [`ConnServer::close`].
-    pub fn close(&self) {
-        self.inner.close()
     }
 
     /// Force every logged round onto stable storage regardless of the
@@ -398,24 +319,14 @@ where
     }
 }
 
-impl<B> VersionedRead for DurableServer<B>
+impl<B> Deref for DurableServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
 {
-    /// Versions here are **WAL round ids**: after recovery the window
-    /// starts at `meta.next_round - 1` (the recovered state, published
-    /// at `open` when [`ServerConfig::retain_views`] > 0) and each new
-    /// round extends it by its logged round id.
-    fn version_window(&self) -> Option<(Version, Version)> {
-        self.inner.version_window()
-    }
+    type Target = ConnServer<B>;
 
-    fn read_view(&self) -> Result<ReadView, DynConError> {
-        self.inner.read_view()
-    }
-
-    fn read_view_at(&self, version: Version) -> Result<ReadView, DynConError> {
-        self.inner.read_view_at(version)
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 
@@ -423,7 +334,14 @@ where
 mod tests {
     use super::*;
     use crate::wal::read_wal;
+    use dyncon_api::VersionedRead;
     use dyncon_core::BatchDynamicConnectivity;
+    use dyncon_server::SubmitOptions;
+
+    /// Options submitting on behalf of client `id`.
+    fn client(id: u64) -> SubmitOptions {
+        SubmitOptions::new().as_client(id)
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         // open() creates the directory itself.
@@ -443,7 +361,7 @@ mod tests {
         let (server, meta) = open_det(&dir, DurableConfig::new().compact_on_join(false));
         assert_eq!(meta.next_round, 0);
         let t = server
-            .submit_as(0, vec![Op::Insert(0, 1), Op::Query(0, 1)])
+            .submit_with(vec![Op::Insert(0, 1), Op::Query(0, 1)], client(0))
             .unwrap();
         server.seal_round();
         assert_eq!(t.wait().unwrap().answers, vec![true]);
@@ -469,7 +387,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                let t = server.submit_as(0, ops).unwrap();
+                let t = server.submit_with(ops, client(0)).unwrap();
                 server.seal_round();
                 assert_eq!(t.wait().unwrap().round, i as u64);
             }
@@ -480,7 +398,9 @@ mod tests {
         let (server, meta) = open_det(&dir, DurableConfig::new());
         assert_eq!((meta.replayed_rounds, meta.next_round), (2, 2));
         assert_eq!(server.next_round(), 2);
-        let t = server.submit_as(0, vec![Op::Query(0, 2)]).unwrap();
+        let t = server
+            .submit_with(vec![Op::Query(0, 2)], client(0))
+            .unwrap();
         server.seal_round();
         assert_eq!(
             t.wait().unwrap().answers,
@@ -576,10 +496,14 @@ mod tests {
             DurableConfig::new().compact_on_join(false),
         )
         .unwrap();
-        let ok = server.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let ok = server
+            .submit_with(vec![Op::Insert(0, 1)], client(0))
+            .unwrap();
         server.seal_round();
         ok.wait().unwrap();
-        let boom = server.submit_as(0, vec![Op::Insert(1, 2)]).unwrap();
+        let boom = server
+            .submit_with(vec![Op::Insert(1, 2)], client(0))
+            .unwrap();
         server.seal_round();
         assert!(boom.wait().is_err(), "the detonated round fails its ticket");
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.join()));
@@ -604,7 +528,9 @@ mod tests {
         let dir = scratch("dsrv-metrics");
         {
             let (server, _) = open_det(&dir, DurableConfig::new().compact_on_join(false));
-            let t = server.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+            let t = server
+                .submit_with(vec![Op::Insert(0, 1)], client(0))
+                .unwrap();
             server.seal_round();
             t.wait().unwrap();
             let report = server.join().unwrap();
@@ -664,7 +590,9 @@ mod tests {
             )
             .unwrap();
             for i in 0..10u32 {
-                let t = server.submit(vec![Op::Insert(i % 8, 8 + i % 8)]).unwrap();
+                let t = server
+                    .submit_with(vec![Op::Insert(i % 8, 8 + i % 8)], SubmitOptions::new())
+                    .unwrap();
                 t.wait().unwrap();
             }
             let report = server.join().unwrap();
@@ -690,12 +618,16 @@ mod tests {
             .unwrap();
             // Fresh directory: nothing committed, nothing to read yet.
             assert_eq!(server.version_window(), None);
-            let t = server.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+            let t = server
+                .submit_with(vec![Op::Insert(0, 1)], client(0))
+                .unwrap();
             server.seal_round();
             let r = t.wait().unwrap();
             assert_eq!(r.version, 0, "first WAL round id");
             assert!(server.read_view_at(0).unwrap().connected(0, 1));
-            let t = server.submit_as(0, vec![Op::Insert(1, 2)]).unwrap();
+            let t = server
+                .submit_with(vec![Op::Insert(1, 2)], client(0))
+                .unwrap();
             server.seal_round();
             assert_eq!(t.wait().unwrap().version, 1);
             server.join().unwrap();

@@ -28,6 +28,7 @@
 
 use crate::wal::storage_err;
 use dyncon_api::{DynConError, ExportEdges};
+use dyncon_primitives::frame::word_chain;
 use dyncon_primitives::hash64;
 use std::io::Write;
 use std::path::Path;
@@ -49,15 +50,27 @@ pub struct Snapshot {
     pub edges: Vec<(u32, u32)>,
 }
 
-/// Chained SplitMix64 checksum over the snapshot body.
+/// Word-chain checksum over the snapshot body, seeded by the magic.
 fn body_checksum(body: &[u8]) -> u64 {
-    let mut acc = hash64(u64::from_le_bytes(SNAP_MAGIC));
-    for chunk in body.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        acc = hash64(acc ^ u64::from_le_bytes(word));
-    }
-    acc
+    word_chain(hash64(u64::from_le_bytes(SNAP_MAGIC)), body)
+}
+
+/// Write `bytes` to `dir/name` atomically: write a temp file, fsync it,
+/// rename it over `name`, then fsync the directory. Readers see either
+/// the old file or the new one, never a torn in-between, and the rename
+/// survives a crash.
+pub fn write_file_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), DynConError> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let dst = dir.join(name);
+    let mut file = std::fs::File::create(&tmp).map_err(|e| storage_err(&tmp, e))?;
+    file.write_all(bytes).map_err(|e| storage_err(&tmp, e))?;
+    file.sync_all().map_err(|e| storage_err(&tmp, e))?;
+    drop(file);
+    std::fs::rename(&tmp, &dst).map_err(|e| storage_err(&dst, e))?;
+    // Make the rename itself durable. Directory fsync is best-effort:
+    // not every filesystem supports opening a directory for sync.
+    let _ = std::fs::File::open(dir).and_then(|d| d.sync_all());
+    Ok(())
 }
 
 impl Snapshot {
@@ -87,21 +100,9 @@ impl Snapshot {
         bytes
     }
 
-    /// Write the snapshot into `dir` with write-to-temp + fsync + rename
-    /// atomicity.
+    /// Write the snapshot into `dir` with [`write_file_atomic`].
     pub fn write_atomic(&self, dir: &Path) -> Result<(), DynConError> {
-        let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let dst = dir.join(SNAPSHOT_FILE);
-        let bytes = self.encode();
-        let mut file = std::fs::File::create(&tmp).map_err(|e| storage_err(&tmp, e))?;
-        file.write_all(&bytes).map_err(|e| storage_err(&tmp, e))?;
-        file.sync_all().map_err(|e| storage_err(&tmp, e))?;
-        drop(file);
-        std::fs::rename(&tmp, &dst).map_err(|e| storage_err(&dst, e))?;
-        // Make the rename itself durable. Directory fsync is best-effort:
-        // not every filesystem supports opening a directory for sync.
-        let _ = std::fs::File::open(dir).and_then(|d| d.sync_all());
-        Ok(())
+        write_file_atomic(dir, SNAPSHOT_FILE, &self.encode())
     }
 
     /// Load the snapshot from `dir`. `Ok(None)` if none exists; any

@@ -5,11 +5,9 @@
 //! ```text
 //! wal.log := magic "DCWAL001" (8 bytes)
 //!            record*
-//! record  := round        u64 LE   -- global round id, contiguous ascending
-//!            len          u32 LE   -- payload byte length
-//!            header_chk   u64 LE   -- over (round, len): makes framing trustworthy
-//!            payload_chk  u64 LE   -- over (round, payload)
-//!            payload      len bytes -- encode_ops() of the round's Op batch
+//! record  := a dyncon_primitives::frame frame keyed by "DCWAL001":
+//!            id      = the global round id, contiguous ascending
+//!            payload = encode_ops() of the round's Op batch
 //! ```
 //!
 //! ## Recovery tolerance
@@ -25,15 +23,13 @@
 //! — is real corruption of committed history and surfaces as
 //! [`DynConError::Corrupt`]; recovery must not guess around it.
 //!
-//! The header carries its own checksum so the *length field itself* is
-//! validated before it is used for framing: a bit-flipped `len` can
-//! never swallow the valid records behind it and masquerade as a torn
-//! tail. A complete-but-invalid header is always `Corrupt` (the writer
-//! emits each frame as one sequential write, so a torn write leaves a
-//! strict prefix — never a complete header with damaged bytes).
+//! The frame header carries its own checksum, so the *length field
+//! itself* is validated before it is used for framing: a bit-flipped
+//! `len` can never swallow the valid records behind it and masquerade as
+//! a torn tail. A complete-but-invalid header is always `Corrupt`.
 
 use dyncon_api::{decode_ops, encode_ops, DynConError, Op};
-use dyncon_primitives::hash64;
+use dyncon_primitives::frame;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -43,8 +39,6 @@ use std::time::Instant;
 pub const WAL_FILE: &str = "wal.log";
 
 const WAL_MAGIC: [u8; 8] = *b"DCWAL001";
-/// round (8) + len (4) + header checksum (8) + payload checksum (8).
-const RECORD_HEADER: usize = 28;
 
 /// When the WAL writer calls `fsync` after an append.
 ///
@@ -85,28 +79,8 @@ pub struct WalReadout {
     pub dropped_tail: bool,
 }
 
-/// Payload checksum: a seeded SplitMix64 chain over the round id and
-/// payload words. Not cryptographic — it guards against torn writes and
-/// bit rot, the failure modes fsync-era storage actually has.
-fn record_checksum(round: u64, payload: &[u8]) -> u64 {
-    let mut acc = hash64(round ^ (payload.len() as u64).rotate_left(32));
-    for chunk in payload.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        acc = hash64(acc ^ u64::from_le_bytes(word));
-    }
-    acc
-}
-
-/// Header checksum over `(round, len)`: validated BEFORE `len` is used
-/// for framing, so a corrupted length field can never swallow the valid
-/// records behind it (see the module docs).
-fn header_checksum(round: u64, len: u32) -> u64 {
-    hash64(hash64(round ^ u64::from_le_bytes(WAL_MAGIC)) ^ len as u64)
-}
-
 /// Map an `io::Error` on `path` to the typed storage error.
-pub(crate) fn storage_err(path: &Path, e: std::io::Error) -> DynConError {
+pub fn storage_err(path: &Path, e: std::io::Error) -> DynConError {
     DynConError::Storage {
         path: path.display().to_string(),
         message: e.to_string(),
@@ -150,37 +124,29 @@ pub fn read_wal(dir: &Path) -> Result<Option<WalReadout>, DynConError> {
     };
     let mut pos = WAL_MAGIC.len();
     while pos < bytes.len() {
-        // Truncated header or payload: by construction this can only be
-        // the final (in-flight) record — drop it.
-        if bytes.len() - pos < RECORD_HEADER {
-            out.dropped_tail = true;
-            break;
-        }
-        let round = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        let len_raw = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes"));
-        let stored_hchk =
-            u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().expect("8 bytes"));
-        let stored_pchk =
-            u64::from_le_bytes(bytes[pos + 20..pos + 28].try_into().expect("8 bytes"));
-        // Validate the header before trusting `len` for framing. A
-        // complete header that fails its checksum is corruption, final
+        let rest = &bytes[pos..];
+        // A complete header that fails its checksum is corruption, final
         // record or not: the writer emits each frame as one sequential
-        // write, so a torn write can only leave a strict prefix (caught
-        // by the length checks), never a complete-but-damaged header.
-        if header_checksum(round, len_raw) != stored_hchk {
-            return Err(corrupt_err(&path, pos as u64, "header checksum mismatch"));
-        }
-        let len = len_raw as usize;
-        let payload_start = pos + RECORD_HEADER;
-        if bytes.len() - payload_start < len {
+        // write, so a torn write can only leave a strict prefix, never a
+        // complete-but-damaged header.
+        let header = match frame::parse_header(&WAL_MAGIC, rest) {
+            Ok(Some(header)) => header,
+            // Truncated header: by construction this can only be the
+            // final (in-flight) record — drop it.
+            Ok(None) => {
+                out.dropped_tail = true;
+                break;
+            }
+            Err(e) => return Err(corrupt_err(&path, pos as u64, &e.to_string())),
+        };
+        let Some(payload) = header.payload(rest) else {
             // The verified length extends past end-of-file: a torn final
             // payload — nothing can exist beyond it.
             out.dropped_tail = true;
             break;
-        }
-        let payload = &bytes[payload_start..payload_start + len];
-        let record_end = payload_start + len;
-        if record_checksum(round, payload) != stored_pchk {
+        };
+        let record_end = pos + header.frame_len();
+        if !header.payload_ok(payload) {
             if record_end >= bytes.len() {
                 // The final record: a torn write, drop it.
                 out.dropped_tail = true;
@@ -193,6 +159,7 @@ pub fn read_wal(dir: &Path) -> Result<Option<WalReadout>, DynConError> {
                 "payload checksum mismatch mid-log",
             ));
         }
+        let round = header.id;
         let ops = decode_ops(payload)
             .ok_or_else(|| corrupt_err(&path, pos as u64, "undecodable op payload"))?;
         if let Some(prev) = out.records.last() {
@@ -363,15 +330,9 @@ impl WalWriter {
     pub fn append_round(&mut self, ops: &[Op]) -> Result<u64, DynConError> {
         self.check_poisoned()?;
         let round = self.next_round;
-        let payload = encode_ops(ops);
-        let mut frame = Vec::with_capacity(RECORD_HEADER + payload.len());
-        frame.extend_from_slice(&round.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&header_checksum(round, payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&record_checksum(round, &payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let record = frame::encode(&WAL_MAGIC, round, &encode_ops(ops));
         let start = self.end_offset;
-        if let Err(e) = self.file.write_all(&frame) {
+        if let Err(e) = self.file.write_all(&record) {
             self.rollback_to_end_offset();
             return Err(storage_err(&self.path, e));
         }
@@ -389,7 +350,7 @@ impl WalWriter {
             }
         }
         self.next_round += 1;
-        self.end_offset = start + frame.len() as u64;
+        self.end_offset = start + record.len() as u64;
         self.last_record_start = Some(start);
         Ok(round)
     }
@@ -442,6 +403,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyncon_primitives::frame::HEADER_LEN;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = crate::scratch_dir(tag);
@@ -541,7 +503,7 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a payload bit of the FIRST record (offset: magic + header).
-        bytes[WAL_MAGIC.len() + RECORD_HEADER + 2] ^= 0x01;
+        bytes[WAL_MAGIC.len() + HEADER_LEN + 2] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         match read_wal(&dir) {
             Err(DynConError::Corrupt { offset, detail, .. }) => {
@@ -642,19 +604,12 @@ mod tests {
         let appended = w.log_bytes() - before;
         assert_eq!(
             appended,
-            (RECORD_HEADER + ops(0).len() * Op::ENCODED_LEN) as u64
+            (HEADER_LEN + ops(0).len() * Op::ENCODED_LEN) as u64
         );
         assert_eq!(w.fsync_count(), 1);
         w.append_round(&ops(1)).unwrap(); // policy sync (2 of 2)
         assert_eq!(w.fsync_count(), 2);
         w.sync().unwrap(); // explicit
         assert_eq!(w.fsync_count(), 3);
-    }
-
-    #[test]
-    fn checksum_depends_on_round_and_length() {
-        assert_ne!(record_checksum(0, b"abc"), record_checksum(1, b"abc"));
-        assert_ne!(record_checksum(0, b"abc"), record_checksum(0, b"abcd"));
-        assert_ne!(record_checksum(0, b"ab\0"), record_checksum(0, b"ab"));
     }
 }

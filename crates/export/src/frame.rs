@@ -2,19 +2,16 @@
 //!
 //! ## Wire format
 //!
-//! A connection is a magic preamble followed by frames, in the same
-//! framing discipline as the durable layer's `DCWAL001` log (header
-//! checksum validated *before* the length is trusted, payload checksum
-//! over the body):
+//! A connection is a magic preamble followed by frames in the
+//! [`dyncon_primitives::frame`] format, the same framing as the durable
+//! layer's `DCWAL001` log (header checksum validated *before* the length
+//! is trusted, payload checksum over the body):
 //!
 //! ```text
 //! stream := magic "DCEXP001" (8 bytes, once per connection)
 //!           frame*
-//! frame  := seq          u64 LE   -- per-connection ascending frame id
-//!           len          u32 LE   -- payload byte length
-//!           header_chk   u64 LE   -- over (seq, len)
-//!           payload_chk  u64 LE   -- over (seq, payload)
-//!           payload      len bytes
+//! frame  := a dyncon_primitives::frame frame keyed by "DCEXP001":
+//!           id = seq, the per-connection ascending frame id
 //! ```
 //!
 //! The payload is OTLP-shaped: a resource identity (the `source`
@@ -32,39 +29,15 @@
 //! ```
 
 use dyncon_metrics::{HistogramSnapshot, MetricSnapshot, MetricValue, MetricsSnapshot, BUCKETS};
-use dyncon_primitives::hash64;
+use dyncon_primitives::frame;
 use dyncon_trace::Span;
 
 /// Connection preamble: protocol + version, sent once per connection.
 pub const EXPORT_MAGIC: [u8; 8] = *b"DCEXP001";
 
-/// seq (8) + len (4) + header checksum (8) + payload checksum (8).
-pub const FRAME_HEADER: usize = 28;
-
 /// Sanity bound on a decoded payload length: anything larger is treated
 /// as corruption, not an allocation request.
 const MAX_PAYLOAD: u32 = 16 << 20;
-
-/// Payload checksum: a seeded SplitMix64 chain over the frame id and
-/// payload words — the same construction (and guarantees) as the WAL's
-/// record checksum. Not cryptographic; it catches truncation, reorder
-/// and bit rot on the wire.
-fn payload_checksum(seq: u64, payload: &[u8]) -> u64 {
-    let mut acc = hash64(seq ^ (payload.len() as u64).rotate_left(32));
-    for chunk in payload.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        acc = hash64(acc ^ u64::from_le_bytes(word));
-    }
-    acc
-}
-
-/// Header checksum over `(seq, len)`: validated BEFORE `len` is used
-/// for framing, so a corrupted length can never desynchronise the
-/// stream silently.
-fn header_checksum(seq: u64, len: u32) -> u64 {
-    hash64(hash64(seq ^ u64::from_le_bytes(EXPORT_MAGIC)) ^ len as u64)
-}
 
 /// A span as it travels on the wire. The stage is carried by its stable
 /// snake_case name (`Stage::name`), so the collector can aggregate
@@ -248,13 +221,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             encode_slow(&mut payload, rounds);
         }
     }
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u64(&mut out, frame.seq);
-    put_u32(&mut out, payload.len() as u32);
-    put_u64(&mut out, header_checksum(frame.seq, payload.len() as u32));
-    put_u64(&mut out, payload_checksum(frame.seq, &payload));
-    out.extend_from_slice(&payload);
-    out
+    frame::encode(&EXPORT_MAGIC, frame.seq, &payload)
 }
 
 // ---- decoding -----------------------------------------------------------
@@ -398,25 +365,16 @@ fn decode_slow(c: &mut Cursor) -> Result<Vec<WireSlowRound>, String> {
 ///   length). Byte streams cannot be resynchronised safely: drop the
 ///   connection.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, String> {
-    if buf.len() < FRAME_HEADER {
+    let Some(header) = frame::parse_header(&EXPORT_MAGIC, buf).map_err(|e| e.to_string())? else {
         return Ok(None);
+    };
+    if header.len > MAX_PAYLOAD {
+        return Err(format!("payload length {} over bound", header.len));
     }
-    let seq = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-    let header_chk = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-    let payload_chk = u64::from_le_bytes(buf[20..28].try_into().unwrap());
-    if header_checksum(seq, len) != header_chk {
-        return Err("header checksum mismatch".to_string());
-    }
-    if len > MAX_PAYLOAD {
-        return Err(format!("payload length {len} over bound"));
-    }
-    let total = FRAME_HEADER + len as usize;
-    if buf.len() < total {
+    let Some(payload) = header.payload(buf) else {
         return Ok(None);
-    }
-    let payload = &buf[FRAME_HEADER..total];
-    if payload_checksum(seq, payload) != payload_chk {
+    };
+    if !header.payload_ok(payload) {
         return Err("payload checksum mismatch".to_string());
     }
     let mut c = Cursor {
@@ -433,11 +391,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, String> {
     };
     Ok(Some((
         Frame {
-            seq,
+            seq: header.id,
             source,
             payload,
         },
-        total,
+        header.frame_len(),
     )))
 }
 
@@ -511,34 +469,6 @@ mod tests {
         }
         assert_eq!(off, wire.len());
         assert_eq!(decoded, frames);
-    }
-
-    #[test]
-    fn partial_frames_ask_for_more() {
-        let wire = encode_frame(&Frame {
-            seq: 3,
-            source: "p".to_string(),
-            payload: FramePayload::Metrics(sample_metrics()),
-        });
-        for cut in [0, 1, FRAME_HEADER - 1, FRAME_HEADER, wire.len() - 1] {
-            assert_eq!(decode_frame(&wire[..cut]).unwrap(), None, "cut at {cut}");
-        }
-        assert!(decode_frame(&wire).unwrap().is_some());
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let wire = encode_frame(&Frame {
-            seq: 5,
-            source: "p".to_string(),
-            payload: FramePayload::Metrics(sample_metrics()),
-        });
-        // A flipped bit anywhere — header or payload — fails a checksum.
-        for pos in [0usize, 9, 13, 21, FRAME_HEADER, wire.len() - 1] {
-            let mut bad = wire.clone();
-            bad[pos] ^= 0x40;
-            assert!(decode_frame(&bad).is_err(), "flip at {pos} undetected");
-        }
     }
 
     #[test]

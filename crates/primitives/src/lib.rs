@@ -12,6 +12,9 @@
 //! * plus parallel spanning-forest building blocks (union-find lives in
 //!   `dyncon-spanning`, built on [`hash`] and [`rng`] from here).
 //!
+//! Outside the paper's toolbox, [`frame`] is the checksummed record
+//! framing the serving stack's write-ahead log and telemetry export share.
+//!
 //! Everything is implemented on top of [rayon]'s fork-join primitives, which
 //! realize the MT-RAM model the paper analyses (see DESIGN.md §3 for the
 //! model-to-implementation mapping).
@@ -21,6 +24,7 @@
 //! is scheduling dependent, but its *contents* are deterministic).
 
 pub mod dict;
+pub mod frame;
 pub mod group;
 pub mod hash;
 pub mod listrank;

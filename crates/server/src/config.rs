@@ -272,9 +272,8 @@ impl ServerConfig {
     }
 }
 
-/// Options of the unified submission surface,
-/// [`crate::ConnServer::submit_with`]. The four classic submit methods
-/// are thin wrappers over combinations of these.
+/// Options of the one submission surface,
+/// [`crate::ConnServer::submit_with`].
 ///
 /// ```
 /// # use dyncon_server::SubmitOptions;
@@ -306,8 +305,7 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// The defaults: auto client id, non-blocking, no fence — exactly
-    /// [`crate::ConnServer::submit`].
+    /// The defaults: auto client id, non-blocking, no fence.
     pub fn new() -> Self {
         Self::default()
     }

@@ -12,13 +12,14 @@
 //!
 //! ## Model
 //!
-//! * [`ConnServer::submit`] enqueues a request (an ordered `Vec<Op>`) and
-//!   returns a [`Ticket`]. The request's operations are validated against
-//!   the vertex universe up front, so a round can never fail with
-//!   [`DynConError::VertexOutOfRange`] on another client's behalf.
+//! * [`ConnServer::submit_with`] enqueues a request (an ordered `Vec<Op>`)
+//!   under [`SubmitOptions`] and returns a [`Ticket`]. The request's
+//!   operations are validated against the vertex universe up front, so a
+//!   round can never fail with [`DynConError::VertexOutOfRange`] on
+//!   another client's behalf.
 //! * The admission queue is **bounded** ([`ServerConfig::queue_capacity`]):
-//!   a full queue rejects with [`DynConError::Backpressure`] (the blocking
-//!   [`ConnServer::submit_blocking`] variants wait for space instead).
+//!   a full queue rejects with [`DynConError::Backpressure`]
+//!   ([`SubmitOptions::blocking`] submissions wait for space instead).
 //! * The writer commits a round when the pending ops reach
 //!   [`ServerConfig::max_batch_ops`], or the oldest pending request has
 //!   waited [`ServerConfig::max_coalesce_wait`], or the server is closing.

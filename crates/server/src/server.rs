@@ -324,13 +324,13 @@ impl<B: BatchDynamic + Send + 'static> ConnServer<B> {
     }
 
     /// The one submission entry point: submit `ops` under `options`.
-    /// The four legacy methods ([`ConnServer::submit`],
-    /// [`ConnServer::submit_as`], [`ConnServer::submit_blocking`],
-    /// [`ConnServer::submit_blocking_as`]) are thin wrappers over this.
+    /// Requests of one client keep their submission order in every
+    /// canonical round.
     ///
     /// - [`SubmitOptions::client`]: stable client identity for canonical
     ///   ordering; `None` draws a fresh auto id (arrival-ordered — fine
-    ///   in throughput mode, wrong for deterministic replay).
+    ///   in throughput mode, wrong for deterministic replay, which needs
+    ///   [`SubmitOptions::as_client`]).
     /// - [`SubmitOptions::blocking`]: wait for queue space instead of
     ///   failing with [`DynConError::Backpressure`].
     /// - [`SubmitOptions::min_version`]: a read-your-writes fence — the
@@ -346,33 +346,6 @@ impl<B: BatchDynamic + Send + 'static> ConnServer<B> {
             .client
             .unwrap_or_else(|| self.shared.next_auto_client.fetch_add(1, Ordering::Relaxed));
         self.submit_inner(client, ops, options.blocking, options.min_version)
-    }
-
-    /// Submit one request under an automatically assigned (unique) client
-    /// id. Non-blocking: a full queue is [`DynConError::Backpressure`].
-    ///
-    /// For deterministic mode use [`ConnServer::submit_as`] with a stable
-    /// client id — auto ids are assigned in arrival order, which is
-    /// exactly what that mode must not depend on.
-    pub fn submit(&self, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.submit_with(ops, SubmitOptions::new())
-    }
-
-    /// Submit one request on behalf of `client`. Requests of one client
-    /// keep their submission order in every canonical round. Non-blocking.
-    pub fn submit_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.submit_with(ops, SubmitOptions::new().as_client(client))
-    }
-
-    /// Like [`ConnServer::submit`], but waits for queue space instead of
-    /// returning [`DynConError::Backpressure`].
-    pub fn submit_blocking(&self, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.submit_with(ops, SubmitOptions::new().blocking(true))
-    }
-
-    /// Like [`ConnServer::submit_as`], but waits for queue space.
-    pub fn submit_blocking_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.submit_with(ops, SubmitOptions::new().as_client(client).blocking(true))
     }
 
     fn submit_inner(
@@ -1088,6 +1061,11 @@ mod tests {
     use dyncon_spanning::IncrementalConnectivity;
     use std::time::Duration;
 
+    /// Options submitting on behalf of client `id`.
+    fn client(id: u64) -> SubmitOptions {
+        SubmitOptions::new().as_client(id)
+    }
+
     fn server(n: usize, config: ServerConfig) -> ConnServer<BatchDynamicConnectivity> {
         ConnServer::start(BatchDynamicConnectivity::new(n), config)
     }
@@ -1096,7 +1074,10 @@ mod tests {
     fn single_client_round_trip() {
         let s = server(8, ServerConfig::new());
         let t = s
-            .submit(vec![Op::Insert(0, 1), Op::Query(0, 1), Op::Query(0, 2)])
+            .submit_with(
+                vec![Op::Insert(0, 1), Op::Query(0, 1), Op::Query(0, 2)],
+                SubmitOptions::new(),
+            )
             .unwrap();
         let r = t.wait().unwrap();
         assert_eq!(r.answers, vec![true, false]);
@@ -1114,9 +1095,9 @@ mod tests {
             8,
             ServerConfig::new().deterministic(true).record_rounds(true),
         );
-        let t1 = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
-        let t2 = s.submit_as(1, vec![Op::Insert(1, 2)]).unwrap();
-        let t3 = s.submit_as(2, vec![Op::Query(0, 2)]).unwrap();
+        let t1 = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
+        let t2 = s.submit_with(vec![Op::Insert(1, 2)], client(1)).unwrap();
+        let t3 = s.submit_with(vec![Op::Query(0, 2)], client(2)).unwrap();
         assert_eq!(s.seal_round(), 3);
         // All three land in round 0; the query sees both inserts because
         // apply's run-splitting preserves op order within the round.
@@ -1142,9 +1123,9 @@ mod tests {
         );
         // Submit in scrambled client order; the sealed round must come out
         // client-major, program-order within each client.
-        let tb = s.submit_as(7, vec![Op::Insert(2, 3)]).unwrap();
-        let ta1 = s.submit_as(1, vec![Op::Insert(0, 1)]).unwrap();
-        let ta2 = s.submit_as(1, vec![Op::Query(0, 1)]).unwrap();
+        let tb = s.submit_with(vec![Op::Insert(2, 3)], client(7)).unwrap();
+        let ta1 = s.submit_with(vec![Op::Insert(0, 1)], client(1)).unwrap();
+        let ta2 = s.submit_with(vec![Op::Query(0, 1)], client(1)).unwrap();
         s.seal_round();
         for t in [tb, ta1, ta2] {
             t.wait().unwrap();
@@ -1167,13 +1148,17 @@ mod tests {
         );
         // 6 ops in one request: exceeds the cap, must still commit.
         let big: Vec<Op> = (0..6).map(|i| Op::Insert(i, i + 1)).collect();
-        let t1 = s.submit(big).unwrap();
+        let t1 = s.submit_with(big, SubmitOptions::new()).unwrap();
         assert_eq!(t1.wait().unwrap().round, 0);
         // Two 3-op requests: the second overflows the 4-op cap, so they
         // commit as separate rounds (no starvation: the leftover keeps
         // its admission deadline).
-        let t2 = s.submit(vec![Op::Query(0, 6); 3]).unwrap();
-        let t3 = s.submit(vec![Op::Query(0, 6); 3]).unwrap();
+        let t2 = s
+            .submit_with(vec![Op::Query(0, 6); 3], SubmitOptions::new())
+            .unwrap();
+        let t3 = s
+            .submit_with(vec![Op::Query(0, 6); 3], SubmitOptions::new())
+            .unwrap();
         let (r2, r3) = (t2.wait().unwrap(), t3.wait().unwrap());
         assert!(r3.round > r2.round, "{} vs {}", r3.round, r2.round);
         assert_eq!(r2.answers, vec![true; 3]);
@@ -1191,7 +1176,12 @@ mod tests {
                 .batch_cap(1 << 20)
                 .coalesce_wait(Duration::from_micros(50)),
         );
-        let t = s.submit(vec![Op::Insert(0, 1), Op::Query(0, 1)]).unwrap();
+        let t = s
+            .submit_with(
+                vec![Op::Insert(0, 1), Op::Query(0, 1)],
+                SubmitOptions::new(),
+            )
+            .unwrap();
         assert_eq!(t.wait().unwrap().answers, vec![true]);
         s.join();
     }
@@ -1199,7 +1189,9 @@ mod tests {
     #[test]
     fn submit_validates_vertices_at_admission() {
         let s = server(4, ServerConfig::new());
-        let err = s.submit(vec![Op::Insert(0, 9)]).unwrap_err();
+        let err = s
+            .submit_with(vec![Op::Insert(0, 9)], SubmitOptions::new())
+            .unwrap_err();
         assert_eq!(
             err,
             DynConError::VertexOutOfRange {
@@ -1218,9 +1210,9 @@ mod tests {
         // other clients' requests share.
         let uf = IncrementalConnectivity::new(8);
         let s = ConnServer::start(uf, ServerConfig::new().deterministic(true));
-        let t1 = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t1 = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         let err = s
-            .submit_as(1, vec![Op::Insert(1, 2), Op::Delete(0, 1)])
+            .submit_with(vec![Op::Insert(1, 2), Op::Delete(0, 1)], client(1))
             .unwrap_err();
         assert_eq!(
             err,
@@ -1288,25 +1280,25 @@ mod tests {
         };
         let s = ConnServer::start(bomb, ServerConfig::new().deterministic(true));
         let ok = s
-            .submit_as(0, vec![Op::Insert(0, 1), Op::Query(0, 1)])
+            .submit_with(vec![Op::Insert(0, 1), Op::Query(0, 1)], client(0))
             .unwrap();
         s.seal_round();
         assert_eq!(ok.wait().unwrap().answers, vec![true]);
         // Round 1 detonates; its ticket AND a request racing the crash
         // must both resolve instead of hanging forever.
-        let in_flight = s.submit_as(0, vec![Op::Insert(1, 2)]).unwrap();
+        let in_flight = s.submit_with(vec![Op::Insert(1, 2)], client(0)).unwrap();
         s.seal_round();
         // This submit races the detonation: it is either bounced at
         // admission (already closed) or admitted and then failed by the
         // crash cleanup — never left hanging.
-        match s.submit_as(1, vec![Op::Query(0, 1)]) {
+        match s.submit_with(vec![Op::Query(0, 1)], client(1)) {
             Ok(ticket) => assert_eq!(ticket.wait().unwrap_err(), DynConError::ServiceClosed),
             Err(e) => assert_eq!(e, DynConError::ServiceClosed),
         }
         assert_eq!(in_flight.wait().unwrap_err(), DynConError::ServiceClosed);
         // Admission is closed after the crash…
         assert_eq!(
-            s.submit_as(2, vec![Op::Query(0, 1)]).unwrap_err(),
+            s.submit_with(vec![Op::Query(0, 1)], client(2)).unwrap_err(),
             DynConError::ServiceClosed
         );
         // …and the writer's panic resurfaces at join.
@@ -1321,12 +1313,12 @@ mod tests {
         // reports the SAME round-level aggregates (2 inserted, 1 deleted),
         // while answers stay per-request.
         let t1 = s
-            .submit_as(
-                0,
+            .submit_with(
                 vec![Op::Insert(0, 1), Op::Insert(1, 2), Op::Delete(0, 1)],
+                client(0),
             )
             .unwrap();
-        let t2 = s.submit_as(1, vec![Op::Query(0, 2)]).unwrap();
+        let t2 = s.submit_with(vec![Op::Query(0, 2)], client(1)).unwrap();
         s.seal_round();
         let (r1, r2) = (t1.wait().unwrap(), t2.wait().unwrap());
         assert_eq!((r1.inserted, r1.deleted), (2, 1));
@@ -1339,7 +1331,7 @@ mod tests {
     #[test]
     fn inspect_runs_between_rounds_and_sees_committed_state() {
         let s = server(8, ServerConfig::new().deterministic(true));
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         // The ticket resolved, so the inspection observes its round.
@@ -1349,7 +1341,7 @@ mod tests {
         assert!(connected);
         assert_eq!(name, s.backend_name());
         // Interleave: inspect, mutate, inspect again.
-        let t = s.submit_as(0, vec![Op::Delete(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Delete(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         assert!(!s.inspect(|b| b.connected(0, 1)).unwrap());
@@ -1371,7 +1363,7 @@ mod tests {
             rounds_left: 0,
         };
         let s = ConnServer::start(bomb, ServerConfig::new().deterministic(true));
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         assert!(t.wait().is_err());
         assert_eq!(
@@ -1389,7 +1381,7 @@ mod tests {
         // otherwise grow memory without bound.
         let s = server(8, ServerConfig::new().deterministic(true));
         let t = s
-            .submit_as(0, vec![Op::Insert(0, 1), Op::Query(0, 1)])
+            .submit_with(vec![Op::Insert(0, 1), Op::Query(0, 1)], client(0))
             .unwrap();
         s.seal_round();
         assert_eq!(t.wait().unwrap().answers, vec![true]);
@@ -1412,7 +1404,7 @@ mod tests {
                     Ok(())
                 }));
         let s = server(8, config);
-        let t1 = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t1 = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         // Group commit IS the durability barrier: once any ticket of a
         // round resolves, the hook has already run for that round.
@@ -1422,7 +1414,7 @@ mod tests {
             &[(0, vec![Op::Insert(0, 1)])]
         );
         let t2 = s
-            .submit_as(0, vec![Op::Query(0, 1), Op::Delete(0, 1)])
+            .submit_with(vec![Op::Query(0, 1), Op::Delete(0, 1)], client(0))
             .unwrap();
         s.seal_round();
         t2.wait().unwrap();
@@ -1456,18 +1448,18 @@ mod tests {
                     },
                 ));
         let s = server(8, config);
-        let ok = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let ok = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         assert_eq!(ok.wait().unwrap().round, 0);
         // Round 1 cannot be made durable: its ticket carries the hook's
         // typed error, nothing is applied, and admission closes.
         let failed = s
-            .submit_as(0, vec![Op::Insert(1, 2), Op::Query(1, 2)])
+            .submit_with(vec![Op::Insert(1, 2), Op::Query(1, 2)], client(0))
             .unwrap();
         s.seal_round();
         assert_eq!(failed.wait().unwrap_err(), storage_error);
         assert_eq!(
-            s.submit_as(1, vec![Op::Query(0, 1)]).unwrap_err(),
+            s.submit_with(vec![Op::Query(0, 1)], client(1)).unwrap_err(),
             DynConError::ServiceClosed
         );
         let report = s.join();
@@ -1500,10 +1492,10 @@ mod tests {
             rounds_left: 1,
         };
         let s = ConnServer::start(bomb, config);
-        let ok = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let ok = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         ok.wait().unwrap();
-        let boom = s.submit_as(0, vec![Op::Insert(1, 2)]).unwrap();
+        let boom = s.submit_with(vec![Op::Insert(1, 2)], client(0)).unwrap();
         s.seal_round();
         assert!(boom.wait().is_err());
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.join()));
@@ -1517,8 +1509,10 @@ mod tests {
     #[test]
     fn empty_request_is_a_durable_flush() {
         let s = server(4, ServerConfig::new());
-        let t0 = s.submit(vec![Op::Insert(0, 1)]).unwrap();
-        let t = s.submit(Vec::new()).unwrap();
+        let t0 = s
+            .submit_with(vec![Op::Insert(0, 1)], SubmitOptions::new())
+            .unwrap();
+        let t = s.submit_with(Vec::new(), SubmitOptions::new()).unwrap();
         let r = t.wait().unwrap();
         assert!(r.answers.is_empty());
         // Group commit: by the time any ticket of a round resolves, every
@@ -1533,7 +1527,12 @@ mod tests {
             8,
             ServerConfig::new().coalesce_wait(Duration::from_millis(20)),
         );
-        let t = s.submit(vec![Op::Insert(0, 1), Op::Query(0, 1)]).unwrap();
+        let t = s
+            .submit_with(
+                vec![Op::Insert(0, 1), Op::Query(0, 1)],
+                SubmitOptions::new(),
+            )
+            .unwrap();
         drop(s);
         assert_eq!(t.wait().unwrap().answers, vec![true]);
     }
@@ -1548,15 +1547,15 @@ mod tests {
                 .queue_capacity(2)
                 .metrics(registry.clone()),
         );
-        let t1 = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
-        let t2 = s.submit_as(1, vec![Op::Query(0, 1)]).unwrap();
+        let t1 = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
+        let t2 = s.submit_with(vec![Op::Query(0, 1)], client(1)).unwrap();
         // Queue full at 2 admitted requests: a backpressure reject.
         assert!(matches!(
-            s.submit_as(2, vec![Op::Query(0, 1)]),
+            s.submit_with(vec![Op::Query(0, 1)], client(2)),
             Err(DynConError::Backpressure { .. })
         ));
         // Out-of-range vertex: an admission (validation) reject.
-        assert!(s.submit_as(2, vec![Op::Insert(0, 99)]).is_err());
+        assert!(s.submit_with(vec![Op::Insert(0, 99)], client(2)).is_err());
         s.seal_round();
         t1.wait().unwrap();
         t2.wait().unwrap();
@@ -1603,7 +1602,10 @@ mod tests {
         // No registry passed: instrumentation still works, surfaced only
         // through the report and the live snapshot.
         let s = server(8, ServerConfig::new());
-        s.submit(vec![Op::Insert(0, 1)]).unwrap().wait().unwrap();
+        s.submit_with(vec![Op::Insert(0, 1)], SubmitOptions::new())
+            .unwrap()
+            .wait()
+            .unwrap();
         let report = s.join();
         assert_eq!(
             report
@@ -1621,7 +1623,9 @@ mod tests {
         let s = server(16, ServerConfig::new());
         assert_eq!(s.num_vertices(), 16);
         assert!(!s.backend_name().is_empty());
-        let t = s.submit(vec![Op::Insert(0, 1)]).unwrap();
+        let t = s
+            .submit_with(vec![Op::Insert(0, 1)], SubmitOptions::new())
+            .unwrap();
         t.wait().unwrap();
         assert_eq!(s.rounds_committed(), 1);
         assert_eq!(s.ops_committed(), 1);
@@ -1637,7 +1641,7 @@ mod tests {
         let s = versioned_server(8, ServerConfig::new().deterministic(true).retain_views(2));
         assert_eq!(s.version_window(), None, "nothing committed yet");
         assert_eq!(s.newest_committed(), None);
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         let r = t.wait().unwrap();
         assert_eq!((r.round, r.version), (0, 0));
@@ -1646,7 +1650,7 @@ mod tests {
         let v0 = s.read_view_at(r.version).unwrap();
         assert!(v0.connected(0, 1));
         assert!(!v0.connected(0, 2));
-        let t = s.submit_as(0, vec![Op::Insert(1, 2)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(1, 2)], client(0)).unwrap();
         s.seal_round();
         let r1 = t.wait().unwrap();
         assert_eq!(r1.version, 1);
@@ -1655,7 +1659,7 @@ mod tests {
         assert!(s.read_view().unwrap().connected(0, 2));
         assert_eq!(s.version_window(), Some((0, 1)));
         // A third round evicts version 0 from the retain=2 window.
-        let t = s.submit_as(0, vec![Op::Delete(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Delete(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         assert_eq!(s.version_window(), Some((1, 2)));
@@ -1673,7 +1677,10 @@ mod tests {
     #[test]
     fn unversioned_server_has_no_views() {
         let s = server(8, ServerConfig::new());
-        s.submit(vec![Op::Insert(0, 1)]).unwrap().wait().unwrap();
+        s.submit_with(vec![Op::Insert(0, 1)], SubmitOptions::new())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(s.version_window(), None);
         assert!(matches!(
             s.read_view().unwrap_err(),
@@ -1699,7 +1706,7 @@ mod tests {
             matches!(err, DynConError::UnknownVersion { requested: 0, .. }),
             "{err:?}"
         );
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         assert_eq!(t.wait().unwrap().version, 0);
         // Version 0 committed: the same fence now admits, and the round
@@ -1739,7 +1746,7 @@ mod tests {
         };
         // Give the fence a moment to park, then commit version 0.
         std::thread::sleep(Duration::from_millis(10));
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         let r = fenced.join().unwrap().unwrap();
@@ -1772,7 +1779,7 @@ mod tests {
     #[test]
     fn read_async_runs_on_the_reader_pool() {
         let s = versioned_server(8, ServerConfig::new().deterministic(true).reader_threads(2));
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         let handles: Vec<_> = (0..8)
@@ -1795,7 +1802,7 @@ mod tests {
             None,
             "no round committed yet"
         );
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         let (version, connected) = s
@@ -1816,7 +1823,7 @@ mod tests {
                 .retain_views(4)
                 .metrics(registry.clone()),
         );
-        let t = s.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();
         s.read_view().unwrap();

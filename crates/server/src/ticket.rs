@@ -50,7 +50,7 @@ impl Slot {
 }
 
 /// Completion handle of one submitted request. Obtain it from
-/// [`crate::ConnServer::submit`]; redeem it with [`Ticket::wait`].
+/// [`crate::ConnServer::submit_with`]; redeem it with [`Ticket::wait`].
 ///
 /// Dropping a ticket without waiting is allowed — the request still
 /// commits with its round (group commit is all-or-nothing per round);

@@ -15,9 +15,9 @@ use dyncon_api::{
     component_groups, validate_vertex, BatchDynamic, BatchResult, BuildFrom, Builder, Connectivity,
     DynConError, ExportEdges, Op, OpKind,
 };
-use dyncon_durable::{DurableConfig, DurableServer};
+use dyncon_durable::{storage_err, write_file_atomic, DurableServer};
 use dyncon_metrics::Registry;
-use dyncon_server::{ConnServer, ServerConfig, Ticket};
+use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use dyncon_trace::{Stage, TraceRecorder};
 use std::collections::HashMap;
 use std::path::Path;
@@ -45,52 +45,28 @@ impl<B> ShardHandle<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
 {
-    fn submit_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
+    /// The shard's serving surface (a durable shard's through `Deref`).
+    fn conn(&self) -> &ConnServer<B> {
         match self {
-            ShardHandle::Mem(s) => s.submit_as(client, ops),
-            ShardHandle::Durable(s) => s.submit_as(client, ops),
-        }
-    }
-
-    fn seal_round(&self) -> usize {
-        match self {
-            ShardHandle::Mem(s) => s.seal_round(),
-            ShardHandle::Durable(s) => s.seal_round(),
-        }
-    }
-
-    fn inspect<R, F>(&self, f: F) -> Result<R, DynConError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&B) -> R + Send + 'static,
-    {
-        match self {
-            ShardHandle::Mem(s) => s.inspect(f),
-            ShardHandle::Durable(s) => s.inspect(f),
+            ShardHandle::Mem(s) => s,
+            ShardHandle::Durable(s) => s,
         }
     }
 
     fn join(self) -> Result<ShardShutdown<B>, DynConError> {
-        match self {
-            ShardHandle::Mem(s) => {
-                let report = s.join();
-                Ok(ShardShutdown {
-                    backend: report.backend,
-                    rounds_committed: report.rounds_committed,
-                    ops_committed: report.ops_committed,
-                    next_round: None,
-                })
-            }
+        let (service, next_round) = match self {
+            ShardHandle::Mem(s) => (s.join(), None),
             ShardHandle::Durable(s) => {
                 let report = s.join()?;
-                Ok(ShardShutdown {
-                    backend: report.service.backend,
-                    rounds_committed: report.service.rounds_committed,
-                    ops_committed: report.service.ops_committed,
-                    next_round: Some(report.next_round),
-                })
+                (report.service, Some(report.next_round))
             }
-        }
+        };
+        Ok(ShardShutdown {
+            backend: service.backend,
+            rounds_committed: service.rounds_committed,
+            ops_committed: service.ops_committed,
+            next_round,
+        })
     }
 }
 
@@ -192,19 +168,15 @@ where
     supports: [bool; 3],
 }
 
-fn storage_err(path: &Path, e: std::io::Error) -> DynConError {
-    DynConError::Storage {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    }
-}
+/// File name of the topology manifest inside a sharded base directory.
+const MANIFEST_FILE: &str = "shard.manifest";
 
 /// The durable topology manifest: shard assignment is part of durable
 /// state, so reopening a base directory with a different vertex count,
 /// shard count, or map kind must fail loudly instead of scattering the
 /// recovered edges across a different partition.
 fn check_manifest(base: &Path, map: &ShardMap) -> Result<(), DynConError> {
-    let path = base.join("shard.manifest");
+    let path = base.join(MANIFEST_FILE);
     let expect = format!(
         "dyncon-shard-v1\nnum_vertices={}\nshards={}\nkind={:?}\n",
         map.num_vertices(),
@@ -224,10 +196,9 @@ fn check_manifest(base: &Path, map: &ShardMap) -> Result<(), DynConError> {
         }),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             std::fs::create_dir_all(base).map_err(|e| storage_err(base, e))?;
-            let tmp = base.join("shard.manifest.tmp");
-            std::fs::write(&tmp, &expect).map_err(|e| storage_err(&tmp, e))?;
-            std::fs::rename(&tmp, &path).map_err(|e| storage_err(&path, e))?;
-            Ok(())
+            // Durably, like a snapshot: a manifest lost to a crash right
+            // after the first open would let a reopen accept any topology.
+            write_file_atomic(base, MANIFEST_FILE, expect.as_bytes())
         }
         Err(e) => Err(storage_err(&path, e)),
     }
@@ -285,16 +256,13 @@ where
             }
             Some(d) => {
                 check_manifest(&d.dir, &map)?;
-                let durable_config = DurableConfig::new()
-                    .fsync(d.fsync)
-                    .compact_on_join(d.compact_on_join);
                 for s in 0..map.num_shards() {
                     let dir = d.dir.join(format!("shard-{s:03}"));
                     let (srv, _meta) = DurableServer::open(
                         &dir,
                         map.shard_size(s).max(1),
                         server_config(),
-                        durable_config.clone(),
+                        d.config.clone(),
                     )?;
                     shards.push(ShardHandle::Durable(Box::new(srv)));
                 }
@@ -302,7 +270,7 @@ where
                     &d.dir.join("cross"),
                     num_vertices,
                     server_config(),
-                    durable_config,
+                    d.config.clone(),
                 )?;
                 ShardHandle::Durable(Box::new(srv))
             }
@@ -385,16 +353,19 @@ where
             }
             let ops_n = ops.len() as u64;
             let submitted = self.trace.as_ref().map(|_| Instant::now());
-            let ticket = self.shards[s].submit_as(COORDINATOR, ops)?;
-            self.shards[s].seal_round();
+            let shard = self.shards[s].conn();
+            let ticket = shard.submit_with(ops, SubmitOptions::new().as_client(COORDINATOR))?;
+            shard.seal_round();
             self.metrics.subrounds.inc();
             tickets.push((ticket, Some(s as u32), submitted, ops_n));
         }
         if !cross_ops.is_empty() {
             let ops_n = cross_ops.len() as u64;
             let submitted = self.trace.as_ref().map(|_| Instant::now());
-            let ticket = self.cross.submit_as(COORDINATOR, cross_ops)?;
-            self.cross.seal_round();
+            let cross = self.cross.conn();
+            let ticket =
+                cross.submit_with(cross_ops, SubmitOptions::new().as_client(COORDINATOR))?;
+            cross.seal_round();
             self.metrics.subrounds.inc();
             tickets.push((ticket, None, submitted, ops_n));
         }
@@ -432,7 +403,7 @@ where
             return Ok(());
         }
         let rebuild_started = self.trace.as_ref().map(|_| Instant::now());
-        let cross_edges = self.cross.inspect(|b| b.export_edges())?;
+        let cross_edges = self.cross.conn().inspect(|b| b.export_edges())?;
         // Distinct cross-edge endpoints per shard, ascending local ids —
         // the canonical input order `component_groups` labels against.
         let mut endpoints: Vec<Vec<u32>> = vec![Vec::new(); self.map.num_shards()];
@@ -451,7 +422,9 @@ where
                 continue;
             }
             let input = eps.clone();
-            let labels = self.shards[s].inspect(move |b| component_groups(b, &input))?;
+            let labels = self.shards[s]
+                .conn()
+                .inspect(move |b| component_groups(b, &input))?;
             // Sorted input ⇒ each label is its component's minimum
             // endpoint, so the distinct labels are already the ascending
             // representative list.
@@ -540,7 +513,9 @@ where
         let mut input = cache.reps[s].clone();
         let reps_len = input.len();
         input.extend_from_slice(locals);
-        let labels = self.shards[s].inspect(move |b| component_groups(b, &input))?;
+        let labels = self.shards[s]
+            .conn()
+            .inspect(move |b| component_groups(b, &input))?;
         Ok(labels[reps_len..]
             .iter()
             .map(|label| {
@@ -570,7 +545,9 @@ where
                 continue;
             }
             let queries: Vec<(u32, u32)> = items.iter().map(|&(_, p)| p).collect();
-            let local_answers = self.shards[s].inspect(move |b| b.batch_connected(&queries))?;
+            let local_answers = self.shards[s]
+                .conn()
+                .inspect(move |b| b.batch_connected(&queries))?;
             for (&(i, _), hit) in items.iter().zip(local_answers) {
                 if hit {
                     answers[i] = true;
@@ -687,6 +664,7 @@ where
         for (s, shard) in self.shards.iter().enumerate() {
             if self.map.shard_size(s) > 0 {
                 total += shard
+                    .conn()
                     .inspect(|b| b.num_components())
                     .expect("sharded num_components: shard service failed");
             }
@@ -705,6 +683,7 @@ where
         let local = self.map.local_of(v);
         let local_size = || {
             self.shards[s]
+                .conn()
                 .inspect(move |b| b.component_size(local))
                 .expect("sharded component_size: shard service failed")
         };
@@ -735,6 +714,7 @@ where
                 continue;
             }
             total += shard
+                .conn()
                 .inspect(move |b| members.iter().map(|&r| b.component_size(r)).sum::<u64>())
                 .expect("sharded component_size: shard service failed");
         }
@@ -802,11 +782,13 @@ where
     fn check(&self) -> Result<(), String> {
         for (s, shard) in self.shards.iter().enumerate() {
             shard
+                .conn()
                 .inspect(|b| b.check())
                 .map_err(|e| format!("shard {s}: {e}"))?
                 .map_err(|e| format!("shard {s}: {e}"))?;
         }
         self.cross
+            .conn()
             .inspect(|b| b.check())
             .map_err(|e| format!("cross store: {e}"))?
             .map_err(|e| format!("cross store: {e}"))?;
@@ -822,6 +804,7 @@ where
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
             let local = shard
+                .conn()
                 .inspect(|b| b.export_edges())
                 .expect("sharded export: shard service failed");
             let globals = self.map.globals(s);
@@ -835,6 +818,7 @@ where
         }
         edges.extend(
             self.cross
+                .conn()
                 .inspect(|b| b.export_edges())
                 .expect("sharded export: cross store failed"),
         );

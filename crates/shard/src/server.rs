@@ -9,13 +9,13 @@
 
 use crate::backend::{ShardShutdown, ShardedBackend};
 use crate::map::ShardMapKind;
-use dyncon_api::{BatchDynamic, BuildFrom, DynConError, ExportEdges, Op};
-use dyncon_api::{ReadView, Version, VersionedRead};
-use dyncon_durable::FsyncPolicy;
+use dyncon_api::{BatchDynamic, BuildFrom, DynConError, ExportEdges};
+use dyncon_durable::DurableConfig;
 use dyncon_export::HealthState;
 use dyncon_metrics::{MetricsSnapshot, Registry};
-use dyncon_server::{ConnServer, ReadHandle, RoundRecord, ServerConfig, SubmitOptions, Ticket};
+use dyncon_server::{ConnServer, RoundRecord, ServerConfig};
 use dyncon_trace::{RoundTrace, TraceRecorder};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -26,31 +26,23 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct DurableShards {
     pub(crate) dir: PathBuf,
-    pub(crate) fsync: FsyncPolicy,
-    pub(crate) compact_on_join: bool,
+    pub(crate) config: DurableConfig,
 }
 
 impl DurableShards {
-    /// Persist under `dir` with the default policy (fsync every round,
-    /// compact on join) — the same defaults as a standalone
+    /// Persist under `dir` with the [`DurableConfig`] defaults (fsync
+    /// every round, compact on join) — the same as a standalone
     /// [`DurableServer`](dyncon_durable::DurableServer).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            fsync: FsyncPolicy::EveryRound,
-            compact_on_join: true,
+            config: DurableConfig::default(),
         }
     }
 
-    /// When each shard's WAL fsyncs.
-    pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.fsync = policy;
-        self
-    }
-
-    /// Whether each shard snapshots + truncates its WAL at shutdown.
-    pub fn compact_on_join(mut self, yes: bool) -> Self {
-        self.compact_on_join = yes;
+    /// The durability knobs every shard (and the cross store) opens with.
+    pub fn config(mut self, config: DurableConfig) -> Self {
+        self.config = config;
         self
     }
 }
@@ -173,7 +165,7 @@ impl ShardConfig {
         self
     }
 
-    /// Reader threads serving [`ShardedServer::read_async`] off the
+    /// Reader threads serving [`ConnServer::read_async`] off the
     /// commit path (0, the default, runs reads inline). See
     /// [`dyncon_server::ServerConfig::reader_threads`].
     pub fn reader_threads(mut self, threads: usize) -> Self {
@@ -246,6 +238,22 @@ pub struct ShardedReport<B> {
 /// admitting client traffic, a coordinator decomposing each admitted
 /// round into per-shard sub-rounds, and a contracted boundary graph
 /// recombining cross-shard reachability (see [`ShardedBackend`]).
+///
+/// The outer server is reachable through `Deref`: submission
+/// ([`ConnServer::submit_with`]), sealing, [`ConnServer::inspect`] (the
+/// closure sees the [`ShardedBackend`], which may in turn inspect
+/// individual shards), metrics, [`ConnServer::close`] and the
+/// [`VersionedRead`](dyncon_api::VersionedRead) surface are all the
+/// outer [`ConnServer`]'s. [`ConnServer::metrics_snapshot`] covers the
+/// pooled registry: outer server, shard servers, WALs and coordinator.
+///
+/// Versions here are **outer** round versions. They are process-local:
+/// per-shard WALs number *sub*-rounds, so there is no durable outer
+/// round id to anchor to across restarts. Each retained view is a
+/// globally consistent snapshot — all shards and the boundary graph
+/// pinned at the same outer version, because the coordinator exports
+/// between outer rounds, when every shard has quiesced.
+/// [`ConnServer::read_async`] needs [`ShardConfig::retain_views`] > 0.
 pub struct ShardedServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
@@ -287,9 +295,7 @@ where
         // between outer rounds — every shard has fully committed its
         // sub-rounds of outer round r and none has seen r+1, so the
         // per-shard states and the boundary graph are all pinned at the
-        // same outer version. Note: outer versions are process-local
-        // (per-shard WALs log *sub*-rounds, so there is no durable outer
-        // round id to anchor to across restarts).
+        // same outer version.
         let inner = if config.retain_views > 0 {
             ConnServer::start_versioned(backend, outer)
         } else {
@@ -302,103 +308,18 @@ where
         })
     }
 
-    /// The outer server, for generic harnesses that drive a
-    /// [`ConnServer`] (load generators, replay tools).
-    pub fn conn(&self) -> &ConnServer<ShardedBackend<B>> {
-        &self.inner
-    }
-
-    /// Size of the global vertex universe.
-    pub fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    /// Number of shards serving it.
+    /// Number of shards serving the vertex universe.
     pub fn num_shards(&self) -> usize {
         self.num_shards
     }
 
-    /// Submit a batch under a fresh client id.
-    pub fn submit(&self, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit(ops)
-    }
-
-    /// Submit a batch under an explicit client id (deterministic mode
-    /// orders admitted requests by `(client, seq)`).
-    pub fn submit_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit_as(client, ops)
-    }
-
-    /// Blocking submit under a fresh client id.
-    pub fn submit_blocking(&self, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit_blocking(ops)
-    }
-
-    /// Blocking submit under an explicit client id.
-    pub fn submit_blocking_as(&self, client: u64, ops: Vec<Op>) -> Result<Ticket, DynConError> {
-        self.inner.submit_blocking_as(client, ops)
-    }
-
-    /// See [`ConnServer::submit_with`]. Versions here are **outer**
-    /// round versions (process-local; per-shard WALs number sub-rounds).
-    pub fn submit_with(&self, ops: Vec<Op>, options: SubmitOptions) -> Result<Ticket, DynConError> {
-        self.inner.submit_with(ops, options)
-    }
-
-    /// Seal the current outer round (deterministic mode's commit
-    /// trigger). Returns how many requests the sealed round holds.
-    pub fn seal_round(&self) -> usize {
-        self.inner.seal_round()
-    }
-
-    /// The newest committed outer version.
-    pub fn newest_committed(&self) -> Option<Version> {
-        self.inner.newest_committed()
-    }
-
-    /// See [`ConnServer::read_async`]. Requires
-    /// [`ShardConfig::retain_views`] > 0.
-    pub fn read_async<R, F>(&self, f: F) -> ReadHandle<Result<R, DynConError>>
-    where
-        R: Send + 'static,
-        F: FnOnce(&ReadView) -> R + Send + 'static,
-    {
-        self.inner.read_async(f)
-    }
-
-    /// See [`ConnServer::read_async_at`].
-    pub fn read_async_at<R, F>(&self, version: Version, f: F) -> ReadHandle<Result<R, DynConError>>
-    where
-        R: Send + 'static,
-        F: FnOnce(&ReadView) -> R + Send + 'static,
-    {
-        self.inner.read_async_at(version, f)
-    }
-
-    /// Run a read-only closure against the sharded backend between
-    /// outer rounds (which in turn may inspect individual shards).
-    pub fn inspect<R, F>(&self, f: F) -> Result<R, DynConError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&ShardedBackend<B>) -> R + Send + 'static,
-    {
-        self.inner.inspect(f)
-    }
-
-    /// Outer commit rounds so far.
+    /// Outer commit rounds so far. Kept inherent (not left to `Deref`):
+    /// callers that implement a trait with a method of this name call
+    /// `ShardedServer::rounds_committed(self)` by path, and a path call
+    /// does not go through `Deref` — without this method it would
+    /// resolve to the trait method and recurse.
     pub fn rounds_committed(&self) -> u64 {
         self.inner.rounds_committed()
-    }
-
-    /// Operations committed through the outer server so far.
-    pub fn ops_committed(&self) -> u64 {
-        self.inner.ops_committed()
-    }
-
-    /// Snapshot the pooled registry (outer + shards + WALs +
-    /// coordinator).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
     }
 
     /// Stop accepting work, drain, and shut down outer server and every
@@ -419,23 +340,13 @@ where
     }
 }
 
-impl<B> VersionedRead for ShardedServer<B>
+impl<B> Deref for ShardedServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
 {
-    /// The retained window of **outer** versions. Each retained view is
-    /// a globally consistent snapshot: all shards and the boundary graph
-    /// pinned at the same outer version (the coordinator exports between
-    /// outer rounds, when every shard has quiesced).
-    fn version_window(&self) -> Option<(Version, Version)> {
-        self.inner.version_window()
-    }
+    type Target = ConnServer<ShardedBackend<B>>;
 
-    fn read_view(&self) -> Result<ReadView, DynConError> {
-        self.inner.read_view()
-    }
-
-    fn read_view_at(&self, version: Version) -> Result<ReadView, DynConError> {
-        self.inner.read_view_at(version)
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }

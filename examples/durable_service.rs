@@ -15,7 +15,7 @@ use dyncon_api::{BatchDynamic, ExportEdges, Op, OpKind};
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_durable::{read_wal, recover, scratch_dir, DurableConfig, DurableServer, FsyncPolicy};
 use dyncon_graphgen::zipf_client_schedules;
-use dyncon_server::ServerConfig;
+use dyncon_server::{ServerConfig, SubmitOptions};
 use std::time::Instant;
 
 const N: usize = 1 << 12;
@@ -46,7 +46,12 @@ fn serve(dir: &std::path::Path, schedules: &[Vec<Vec<Op>>], compact_on_join: boo
             scope.spawn(move || {
                 for ops in sched {
                     let queries = ops.iter().filter(|o| o.kind() == OpKind::Query).count();
-                    let ticket = server.submit_blocking_as(c as u64, ops.clone()).unwrap();
+                    let ticket = server
+                        .submit_with(
+                            ops.clone(),
+                            SubmitOptions::new().as_client(c as u64).blocking(true),
+                        )
+                        .unwrap();
                     // A resolved ticket implies the round is fsynced:
                     // group commit and group fsync coincide.
                     assert_eq!(ticket.wait().unwrap().answers.len(), queries);

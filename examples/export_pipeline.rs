@@ -21,7 +21,7 @@ use dyncon_core::BatchDynamicConnectivity;
 use dyncon_export::{Collector, ExportConfig, HealthState, TelemetryExporter};
 use dyncon_graphgen::zipf_client_schedules;
 use dyncon_metrics::Registry;
-use dyncon_server::{ConnServer, ServerConfig};
+use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use dyncon_trace::{serve_telemetry_with_health, TraceRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -104,7 +104,10 @@ fn main() {
             scope.spawn(move || {
                 for (i, ops) in sched.iter().enumerate() {
                     let ticket = server
-                        .submit_blocking_as(c as u64, ops.clone())
+                        .submit_with(
+                            ops.clone(),
+                            SubmitOptions::new().as_client(c as u64).blocking(true),
+                        )
                         .expect("service open");
                     ticket.wait().expect("round commits");
                     if c == 0 && i == kill_at {

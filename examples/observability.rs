@@ -17,7 +17,7 @@
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_graphgen::{poisson_arrivals, zipf_client_schedules};
 use dyncon_metrics::Registry;
-use dyncon_server::{ConnServer, ServerConfig};
+use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use std::time::Duration;
 
 fn main() {
@@ -57,7 +57,9 @@ fn observe_a_loaded_server() {
                 for (ops, at_ns) in sched.iter().zip(arrivals) {
                     let due = Duration::from_nanos(at_ns).saturating_sub(t0.elapsed());
                     std::thread::sleep(due);
-                    if let Ok(t) = server.submit_as(c as u64, ops.clone()) {
+                    if let Ok(t) =
+                        server.submit_with(ops.clone(), SubmitOptions::new().as_client(c as u64))
+                    {
                         tickets.push(t);
                     }
                 }
@@ -124,7 +126,12 @@ fn metrics_do_not_perturb_determinism() {
         let server = ConnServer::start(BatchDynamicConnectivity::new(n), config);
         for round in 0..rounds {
             for (c, sched) in schedules.iter().enumerate() {
-                server.submit_as(c as u64, sched[round].clone()).unwrap();
+                server
+                    .submit_with(
+                        sched[round].clone(),
+                        SubmitOptions::new().as_client(c as u64),
+                    )
+                    .unwrap();
             }
             server.seal_round();
         }

@@ -15,6 +15,7 @@
 use dyncon_api::{BatchDynamic, Connectivity, ExportEdges};
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_graphgen::zipf_client_schedules;
+use dyncon_server::SubmitOptions;
 use dyncon_shard::{ShardConfig, ShardMapKind, ShardedServer};
 use dyncon_spanning::NaiveDynamicGraph;
 
@@ -48,7 +49,12 @@ fn main() {
             let (server, done) = (&server, &done);
             scope.spawn(move || {
                 for ops in sched {
-                    let ticket = server.submit_blocking_as(c as u64, ops.clone()).unwrap();
+                    let ticket = server
+                        .submit_with(
+                            ops.clone(),
+                            SubmitOptions::new().as_client(c as u64).blocking(true),
+                        )
+                        .unwrap();
                     ticket.wait().unwrap();
                 }
                 done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

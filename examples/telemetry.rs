@@ -16,7 +16,7 @@
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_graphgen::zipf_client_schedules;
 use dyncon_metrics::Registry;
-use dyncon_server::{ConnServer, ServerConfig};
+use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use dyncon_trace::{serve_telemetry, TraceConfig, TraceRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -84,7 +84,10 @@ fn main() {
             scope.spawn(move || {
                 for ops in sched {
                     let ticket = server
-                        .submit_blocking_as(c as u64, ops.clone())
+                        .submit_with(
+                            ops.clone(),
+                            SubmitOptions::new().as_client(c as u64).blocking(true),
+                        )
                         .expect("service open");
                     ticket.wait().expect("round commits");
                 }

@@ -41,7 +41,9 @@ fn main() {
     ];
     let mut views: Vec<ReadView> = Vec::new();
     for ops in &rounds {
-        let ticket = server.submit_as(0, ops.clone()).unwrap();
+        let ticket = server
+            .submit_with(ops.clone(), SubmitOptions::new().as_client(0))
+            .unwrap();
         server.seal_round();
         let result = ticket.wait().unwrap();
         // A committed round's view is immediately available.
@@ -67,7 +69,9 @@ fn main() {
     println!("reader pool ✓  (async read of v{version}: component of 0 has {size} vertices)");
 
     // 3. Read-your-writes: fence a query behind the write's version.
-    let write = server.submit_as(0, vec![Op::Insert(3, 9)]).unwrap();
+    let write = server
+        .submit_with(vec![Op::Insert(3, 9)], SubmitOptions::new().as_client(0))
+        .unwrap();
     server.seal_round();
     let committed = write.wait().unwrap();
     let fenced = server

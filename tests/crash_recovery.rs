@@ -15,7 +15,7 @@ use dyncon_durable::{
     WAL_FILE,
 };
 use dyncon_graphgen::{crash_points, zipf_client_schedules};
-use dyncon_server::ServerConfig;
+use dyncon_server::{ServerConfig, SubmitOptions};
 use dyncon_spanning::NaiveDynamicGraph;
 use std::path::{Path, PathBuf};
 use std::sync::Barrier;
@@ -76,7 +76,9 @@ fn serve_rounds(dir: &Path, upto: usize, worker_threads: usize) {
             let (server, submitted, committed) = (&server, &submitted, &committed);
             scope.spawn(move || {
                 for ops in &sched[..upto] {
-                    let ticket = server.submit_as(c as u64, ops.clone()).unwrap();
+                    let ticket = server
+                        .submit_with(ops.clone(), SubmitOptions::new().as_client(c as u64))
+                        .unwrap();
                     submitted.wait();
                     ticket.wait().unwrap();
                     committed.wait();
@@ -162,12 +164,16 @@ fn sharded_kill_at_round_k_recovers_every_shard_and_the_boundary() {
                 .deterministic(true)
                 .shard_worker_threads(threads)
                 .queue_capacity(ROUNDS)
-                .durable(DurableShards::new(dir).compact_on_join(false)),
+                .durable(
+                    DurableShards::new(dir).config(DurableConfig::new().compact_on_join(false)),
+                ),
         )
         .unwrap();
         let mut results = Vec::new();
         for ops in &rounds[from..upto] {
-            let ticket = server.submit_as(0, ops.clone()).unwrap();
+            let ticket = server
+                .submit_with(ops.clone(), SubmitOptions::new().as_client(0))
+                .unwrap();
             assert_eq!(server.seal_round(), 1);
             let r = ticket.wait().unwrap();
             results.push(BatchResult {
@@ -361,7 +367,9 @@ fn snapshot_compaction_round_trip_preserves_the_observable_graph() {
         .unwrap();
         for r in 0..k {
             for (c, sched) in scheds.iter().enumerate() {
-                server.submit_as(c as u64, sched[r].clone()).unwrap();
+                server
+                    .submit_with(sched[r].clone(), SubmitOptions::new().as_client(c as u64))
+                    .unwrap();
             }
             server.seal_round();
         }

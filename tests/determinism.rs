@@ -5,7 +5,7 @@
 use dyncon_api::BatchDynamic;
 use dyncon_core::{BatchDynamicConnectivity, Builder, DeletionAlgorithm};
 use dyncon_graphgen::{erdos_renyi, rmat, zipf_client_schedules, UpdateStream};
-use dyncon_server::{ConnServer, RoundRecord, ServerConfig};
+use dyncon_server::{ConnServer, RoundRecord, ServerConfig, SubmitOptions};
 
 fn observe(algo: DeletionAlgorithm, seed: u64) -> (Vec<bool>, usize, Vec<u64>, u64) {
     let n = 256;
@@ -87,7 +87,12 @@ fn metrics_leave_deterministic_rounds_byte_identical() {
         let server = ConnServer::start(BatchDynamicConnectivity::new(N), config);
         for round in 0..ROUNDS {
             for (c, sched) in schedules.iter().enumerate() {
-                server.submit_as(c as u64, sched[round].clone()).unwrap();
+                server
+                    .submit_with(
+                        sched[round].clone(),
+                        SubmitOptions::new().as_client(c as u64),
+                    )
+                    .unwrap();
             }
             assert_eq!(server.seal_round(), CLIENTS);
         }
@@ -136,7 +141,12 @@ fn sharded_rounds_byte_identical_across_shard_and_thread_counts() {
         .unwrap();
         for round in 0..ROUNDS {
             for (c, sched) in schedules.iter().enumerate() {
-                server.submit_as(c as u64, sched[round].clone()).unwrap();
+                server
+                    .submit_with(
+                        sched[round].clone(),
+                        SubmitOptions::new().as_client(c as u64),
+                    )
+                    .unwrap();
             }
             assert_eq!(server.seal_round(), CLIENTS);
         }
@@ -203,7 +213,12 @@ fn tracing_and_telemetry_leave_deterministic_rounds_byte_identical() {
             ShardedServer::start(N, config).unwrap();
         for round in 0..ROUNDS {
             for (c, sched) in schedules.iter().enumerate() {
-                server.submit_as(c as u64, sched[round].clone()).unwrap();
+                server
+                    .submit_with(
+                        sched[round].clone(),
+                        SubmitOptions::new().as_client(c as u64),
+                    )
+                    .unwrap();
             }
             assert_eq!(server.seal_round(), CLIENTS);
         }
@@ -309,7 +324,12 @@ fn export_pipeline_leaves_deterministic_rounds_byte_identical() {
             ShardedServer::start(N, config).unwrap();
         for round in 0..ROUNDS {
             for (c, sched) in schedules.iter().enumerate() {
-                server.submit_as(c as u64, sched[round].clone()).unwrap();
+                server
+                    .submit_with(
+                        sched[round].clone(),
+                        SubmitOptions::new().as_client(c as u64),
+                    )
+                    .unwrap();
             }
             assert_eq!(server.seal_round(), CLIENTS);
             if let Some((after, collector)) = kill_collector_after {

@@ -7,7 +7,7 @@ use dyncon_api::{BatchDynamic, Builder, DeletionAlgorithm, DynConError, Op};
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_durable::{recover, scratch_dir, DurableConfig, DurableServer, FsyncPolicy, WalWriter};
 use dyncon_graphgen::{complete, path};
-use dyncon_server::{ConnServer, ServerConfig};
+use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use dyncon_spanning::IncrementalConnectivity;
 use std::error::Error;
 
@@ -171,9 +171,15 @@ fn full_queue_rejects_with_backpressure() {
         BatchDynamicConnectivity::new(8),
         ServerConfig::new().deterministic(true).queue_capacity(2),
     );
-    let t1 = server.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
-    let t2 = server.submit_as(1, vec![Op::Insert(1, 2)]).unwrap();
-    let err = server.submit_as(2, vec![Op::Query(0, 2)]).unwrap_err();
+    let t1 = server
+        .submit_with(vec![Op::Insert(0, 1)], SubmitOptions::new().as_client(0))
+        .unwrap();
+    let t2 = server
+        .submit_with(vec![Op::Insert(1, 2)], SubmitOptions::new().as_client(1))
+        .unwrap();
+    let err = server
+        .submit_with(vec![Op::Query(0, 2)], SubmitOptions::new().as_client(2))
+        .unwrap_err();
     assert_eq!(err, DynConError::Backpressure { capacity: 2 });
     // Display names the capacity; Error impl is wired up.
     assert!(
@@ -186,7 +192,9 @@ fn full_queue_rejects_with_backpressure() {
     server.seal_round();
     assert_eq!(t1.wait().unwrap().round, 0);
     assert_eq!(t2.wait().unwrap().round, 0);
-    let t3 = server.submit_as(2, vec![Op::Query(0, 2)]).unwrap();
+    let t3 = server
+        .submit_with(vec![Op::Query(0, 2)], SubmitOptions::new().as_client(2))
+        .unwrap();
     server.seal_round();
     assert_eq!(t3.wait().unwrap().answers, vec![true]);
     let report = server.join();
@@ -197,14 +205,21 @@ fn full_queue_rejects_with_backpressure() {
 fn post_shutdown_submit_rejects_with_service_closed() {
     let server = ConnServer::start(BatchDynamicConnectivity::new(8), ServerConfig::new());
     let accepted = server
-        .submit(vec![Op::Insert(0, 1), Op::Query(0, 1)])
+        .submit_with(
+            vec![Op::Insert(0, 1), Op::Query(0, 1)],
+            SubmitOptions::new(),
+        )
         .unwrap();
     server.close();
     // Closed means closed, for every submission flavour.
-    let err = server.submit(vec![Op::Query(0, 1)]).unwrap_err();
+    let err = server
+        .submit_with(vec![Op::Query(0, 1)], SubmitOptions::new())
+        .unwrap_err();
     assert_eq!(err, DynConError::ServiceClosed);
     assert_eq!(
-        server.submit_blocking(vec![Op::Query(0, 1)]).unwrap_err(),
+        server
+            .submit_with(vec![Op::Query(0, 1)], SubmitOptions::new().blocking(true))
+            .unwrap_err(),
         DynConError::ServiceClosed
     );
     assert!(err.to_string().contains("closed"), "{err}");
@@ -223,7 +238,10 @@ fn server_admission_validates_vertices_like_apply() {
     // a bad request is rejected at submit, before anything is enqueued.
     let server = ConnServer::start(BatchDynamicConnectivity::new(4), ServerConfig::new());
     let err = server
-        .submit(vec![Op::Insert(0, 1), Op::Query(9, 0)])
+        .submit_with(
+            vec![Op::Insert(0, 1), Op::Query(9, 0)],
+            SubmitOptions::new(),
+        )
         .unwrap_err();
     assert_eq!(
         err,
@@ -507,9 +525,9 @@ fn exporter_with_collector_down_at_startup_never_errors() {
     );
     for round in 0..5u32 {
         server
-            .submit_as(
-                0,
+            .submit_with(
                 vec![Op::Insert(round, round + 1), Op::Query(0, round + 1)],
+                SubmitOptions::new().as_client(0),
             )
             .unwrap();
         server.seal_round();

@@ -8,7 +8,7 @@
 use dyncon_api::{BatchDynamic, BatchResult, Op, OpKind};
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_graphgen::zipf_client_schedules;
-use dyncon_server::{ConnServer, RoundRecord, ServerConfig};
+use dyncon_server::{ConnServer, RoundRecord, ServerConfig, SubmitOptions};
 use dyncon_spanning::NaiveDynamicGraph;
 use std::sync::Barrier;
 
@@ -62,7 +62,9 @@ fn run_concurrent(worker_threads: usize) -> (Vec<RoundRecord>, Vec<Vec<Vec<bool>
                 scope.spawn(move || {
                     let mut answers = Vec::with_capacity(ROUNDS);
                     for ops in sched {
-                        let ticket = server.submit_as(c as u64, ops.clone()).unwrap();
+                        let ticket = server
+                            .submit_with(ops.clone(), SubmitOptions::new().as_client(c as u64))
+                            .unwrap();
                         submitted.wait();
                         answers.push(ticket.wait().unwrap().answers);
                         committed.wait();
@@ -172,7 +174,9 @@ fn throughput_mode_loses_nothing_under_contention() {
                     // Blocking submit rides out backpressure instead of
                     // dropping requests.
                     let queries = ops.iter().filter(|o| o.kind() == OpKind::Query).count();
-                    let ticket = server.submit_blocking(ops.clone()).unwrap();
+                    let ticket = server
+                        .submit_with(ops.clone(), SubmitOptions::new().blocking(true))
+                        .unwrap();
                     let result = ticket.wait().unwrap();
                     assert_eq!(result.answers.len(), queries);
                 }

@@ -86,7 +86,10 @@ fn umbrella_reexports_cover_every_member() {
         dyncon::server::ServerConfig::new(),
     );
     server
-        .submit(vec![dyncon::api::Op::Insert(0, 1)])
+        .submit_with(
+            vec![dyncon::api::Op::Insert(0, 1)],
+            dyncon::server::SubmitOptions::new(),
+        )
         .unwrap()
         .wait()
         .unwrap();

@@ -207,7 +207,12 @@ fn window_eviction_and_empty_window_are_typed_errors() {
         other => panic!("unexpected error {other:?}"),
     }
     for i in 0..4u32 {
-        let t = server.submit_as(0, vec![Op::Insert(i, i + 1)]).unwrap();
+        let t = server
+            .submit_with(
+                vec![Op::Insert(i, i + 1)],
+                SubmitOptions::new().as_client(0),
+            )
+            .unwrap();
         server.seal_round();
         t.wait().unwrap();
     }
@@ -287,7 +292,9 @@ fn recovered_views_match_pre_restart_oracle() {
         )
         .unwrap();
         for (v, ops) in rounds.iter().enumerate() {
-            let t = server.submit_as(0, ops.clone()).unwrap();
+            let t = server
+                .submit_with(ops.clone(), SubmitOptions::new().as_client(0))
+                .unwrap();
             server.seal_round();
             assert_eq!(t.wait().unwrap().version, v as u64);
         }
@@ -310,7 +317,9 @@ fn recovered_views_match_pre_restart_oracle() {
     let recovered = server.read_view().unwrap();
     assert_view_matches(&recovered, &expected[ROUNDS - 1], "recovered");
     // And new commits continue the WAL numbering past the recovered view.
-    let t = server.submit_as(0, vec![Op::Insert(0, 1)]).unwrap();
+    let t = server
+        .submit_with(vec![Op::Insert(0, 1)], SubmitOptions::new().as_client(0))
+        .unwrap();
     server.seal_round();
     assert_eq!(t.wait().unwrap().version, ROUNDS as u64);
     server.join().unwrap();
@@ -360,7 +369,7 @@ proptest! {
         );
         for (v, ops) in rounds.iter().enumerate() {
             let queries = ops.iter().filter(|o| o.kind() == OpKind::Query).count();
-            let t = server.submit_as(0, ops.clone()).unwrap();
+            let t = server.submit_with(ops.clone(), SubmitOptions::new().as_client(0)).unwrap();
             server.seal_round();
             let r = t.wait().unwrap();
             prop_assert_eq!(r.version, v as u64);
