@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dyncon_bench::drive_service;
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_graphgen::zipf_client_schedules;
+use dyncon_server::ServerConfig;
 use dyncon_shard::{ShardConfig, ShardMapKind, ShardedServer};
 use std::time::Duration;
 
@@ -46,10 +47,13 @@ fn bench(c: &mut Criterion) {
                             ShardConfig::new()
                                 .shards(shards)
                                 .kind(ShardMapKind::Hash)
-                                .batch_cap(4096)
-                                .coalesce_wait(Duration::from_micros(50))
-                                .queue_capacity(2 * clients)
-                                .shard_worker_threads(threads),
+                                .server(
+                                    ServerConfig::new()
+                                        .batch_cap(4096)
+                                        .coalesce_wait(Duration::from_micros(50))
+                                        .queue_capacity(2 * clients)
+                                        .worker_threads(threads),
+                                ),
                         )
                         .expect("sharded server starts");
                         let (wall, _lats) = drive_service(&server, &schedules);

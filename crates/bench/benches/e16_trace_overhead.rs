@@ -82,6 +82,7 @@ fn bench(c: &mut Criterion) {
                                 "127.0.0.1:0",
                                 dyncon_metrics::Registry::new(),
                                 t.clone(),
+                                None,
                             )
                             .expect("endpoint binds"),
                         ),

@@ -676,10 +676,13 @@ fn e14(cfg: &Cfg) {
                 ShardConfig::new()
                     .shards(shards)
                     .kind(ShardMapKind::Hash)
-                    .batch_cap(4096)
-                    .coalesce_wait(std::time::Duration::from_micros(50))
-                    .queue_capacity(2 * clients)
-                    .shard_worker_threads(threads),
+                    .server(
+                        ServerConfig::new()
+                            .batch_cap(4096)
+                            .coalesce_wait(std::time::Duration::from_micros(50))
+                            .queue_capacity(2 * clients)
+                            .worker_threads(threads),
+                    ),
             )
             .expect("sharded server starts");
             let (wall, lats) = drive_service(&server, &schedules);

@@ -346,12 +346,13 @@ fn main() {
         let shard_run = || {
             let server: ShardedServer<BatchDynamicConnectivity> = ShardedServer::start(
                 n,
-                ShardConfig::new()
-                    .shards(2)
-                    .batch_cap(service_cap)
-                    .coalesce_wait(Duration::from_micros(50))
-                    .queue_capacity(2 * clients)
-                    .shard_worker_threads(threads),
+                ShardConfig::new().shards(2).server(
+                    ServerConfig::new()
+                        .batch_cap(service_cap)
+                        .coalesce_wait(Duration::from_micros(50))
+                        .queue_capacity(2 * clients)
+                        .worker_threads(threads),
+                ),
             )
             .expect("sharded server starts");
             let (wall, _lats) = drive_service(&server, &shard_schedules);

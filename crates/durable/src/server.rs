@@ -119,8 +119,11 @@ where
     /// A fresh (or empty) directory is initialized to an empty graph
     /// over `num_vertices` vertices; an existing one is recovered
     /// (snapshot + WAL replay) and `num_vertices` must match the
-    /// snapshot. Any `round_hook` already present in `config` is
-    /// replaced by the WAL hook.
+    /// snapshot. `config` is taken as given except for three fields the
+    /// WAL owns: any `round_hook` and `round_abort` already present are
+    /// replaced by the WAL's append and un-log hooks, and `first_version`
+    /// is overridden with the recovered `next_round`, so versions are WAL
+    /// round ids.
     pub fn open(
         dir: &Path,
         num_vertices: usize,
@@ -240,11 +243,7 @@ where
         // Versioned reads opt in via `retain_views`; left at 0, the
         // serving layer skips view publication entirely (no per-round
         // export cost).
-        let inner = if config.retain_views > 0 {
-            ConnServer::start_versioned(backend, config)
-        } else {
-            ConnServer::start(backend, config)
-        };
+        let inner = ConnServer::start_versioned(backend, config);
         Ok((
             Self {
                 inner,

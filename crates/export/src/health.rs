@@ -371,8 +371,8 @@ impl HealthState {
         self.refresh().ready
     }
 
-    /// Build the `/healthz` + `/readyz` probes for
-    /// [`dyncon_trace::serve_telemetry_with_health`]. Liveness is
+    /// Build the `/healthz` + `/readyz` probes to pass (as `Some`) to
+    /// [`dyncon_trace::serve_telemetry`]. Liveness is
     /// unconditional (the process is serving the probe); readiness is
     /// the full verdict with a reason body on 503.
     pub fn routes(&self) -> HealthRoutes {

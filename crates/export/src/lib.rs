@@ -28,9 +28,8 @@
 //!   and flips readiness), WAL-error and backpressure-saturation
 //!   signals, and 1 m / 5 m rolling-window SLO burn-rate tracking over
 //!   the round-latency observations. Surfaced as metrics and as the
-//!   `/healthz` + `/readyz` routes on
-//!   [`dyncon_trace::serve_telemetry_with_health`] (via
-//!   [`HealthState::routes`]).
+//!   `/healthz` + `/readyz` routes on [`dyncon_trace::serve_telemetry`]
+//!   (pass `Some(`[`HealthState::routes`]`())`).
 //!
 //! ## Observational only, like everything before it
 //!

@@ -95,8 +95,8 @@ pub struct ServerConfig {
     /// instrumentation is an `Option` check. Same contract as metrics
     /// and tracing: **observational only**, never an input; share one
     /// [`HealthState`] across a stack, then probe it via
-    /// [`dyncon_trace::serve_telemetry_with_health`]
-    /// (`HealthState::routes()`) or a watchdog thread.
+    /// [`dyncon_trace::serve_telemetry`] (`Some(HealthState::routes())`)
+    /// or a watchdog thread.
     pub health: Option<HealthState>,
     /// Size of the versioned-read retention window: how many recently
     /// committed versions keep a published [`dyncon_api::ReadView`]
@@ -106,8 +106,7 @@ pub struct ServerConfig {
     /// the empty-window [`dyncon_api::DynConError::UnknownVersion`].
     /// Takes effect only on servers started with
     /// [`crate::ConnServer::start_versioned`] (publication needs the
-    /// backend's [`dyncon_api::ExportEdges`] surface), which treats `0`
-    /// as "use the default window" instead.
+    /// backend's [`dyncon_api::ExportEdges`] surface).
     pub retain_views: usize,
     /// Reader threads serving [`crate::ConnServer::read_async`] view
     /// queries off the commit path. `0` (default) keeps no pool:

@@ -62,7 +62,8 @@
 //! `+ round`; the durable stack passes its recovered WAL round id as
 //! `first_version`, so versions are stable across process lifetimes) and
 //! publishes an immutable [`ReadView`] of the post-round state —
-//! retained for the last [`ServerConfig::retain_views`] versions.
+//! retained for the last [`ServerConfig::retain_views`] versions (0, the
+//! default, publishes nothing).
 //! [`ConnServer::read_view`] / [`ConnServer::read_view_at`] (via the
 //! [`VersionedRead`] trait) hand out views without ever blocking the
 //! writer; versions outside the window fail with the typed
@@ -106,7 +107,7 @@ mod views;
 
 pub use config::{RoundHook, ServerConfig, SubmitOptions};
 pub use metrics::ServerMetrics;
-pub use server::{ConnServer, RoundRecord, ServiceReport, DEFAULT_RETAINED_VERSIONS};
+pub use server::{ConnServer, RoundRecord, ServiceReport};
 pub use ticket::{RequestResult, Ticket};
 pub use views::ReadHandle;
 

@@ -24,10 +24,6 @@ use std::time::Instant;
 /// server's backend type).
 type InspectJob = Box<dyn FnOnce(&dyn std::any::Any, Option<Version>) + Send>;
 
-/// Default [`ServerConfig::retain_views`] window applied by
-/// [`ConnServer::start_versioned`] when the knob was left at 0.
-pub const DEFAULT_RETAINED_VERSIONS: usize = 8;
-
 /// The version of this server's `r`-th committed round is
 /// `first_version + r`; the newest committed version is one before the
 /// next round's — or, before any local round, the recovered
@@ -178,7 +174,8 @@ pub struct ConnServer<B: BatchDynamic + Send + 'static> {
     /// requests before they poison a whole commit round.
     supports: [bool; 3],
     /// The retained snapshot window — `Some` only on a server started
-    /// with [`ConnServer::start_versioned`].
+    /// with [`ConnServer::start_versioned`] and
+    /// [`ServerConfig::retain_views`] > 0.
     views: Option<Arc<ViewStore>>,
     /// Reader threads draining [`ConnServer::read_async`] jobs; `None`
     /// when [`ServerConfig::reader_threads`] is 0 (reads run inline).
@@ -243,12 +240,8 @@ impl<B: BatchDynamic + Send + 'static> ConnServer<B> {
             next_auto_client: AtomicU64::new(0),
             metrics,
         });
-        let publisher = extract.map(|extract| {
-            let retain = match config.retain_views {
-                0 => DEFAULT_RETAINED_VERSIONS,
-                n => n,
-            };
-            let store = Arc::new(ViewStore::new(retain));
+        let publisher = extract.filter(|_| config.retain_views > 0).map(|extract| {
+            let store = Arc::new(ViewStore::new(config.retain_views));
             // Publish the starting state (the recovered version
             // `first_version - 1` on a durable stack) on the caller's
             // thread, so `read_view` works before the first local round.
@@ -639,8 +632,10 @@ impl<B: BatchDynamic + ExportEdges + Send + 'static> ConnServer<B> {
     /// every committed round the writer exports the backend's canonical
     /// edge list ([`ExportEdges`]) and publishes it as the [`ReadView`]
     /// of that round's [`Version`], retained for the last
-    /// [`ServerConfig::retain_views`] versions
-    /// ([`DEFAULT_RETAINED_VERSIONS`] when left at 0).
+    /// [`ServerConfig::retain_views`] versions. With `retain_views` 0
+    /// (the default) nothing is published: the server behaves as one
+    /// from [`ConnServer::start`], so a wrapper can always start here
+    /// and let the knob alone decide.
     ///
     /// Readers ([`ConnServer::read_view`], [`ConnServer::read_view_at`],
     /// [`ConnServer::read_async`]) clone retained views out from under a
@@ -664,7 +659,8 @@ impl<B: BatchDynamic + ExportEdges + Send + 'static> ConnServer<B> {
 impl<B: BatchDynamic + Send + 'static> VersionedRead for ConnServer<B> {
     /// The retained `[oldest, newest]` version range — `None` until the
     /// first publication, and always `None` on a server started without
-    /// [`ConnServer::start_versioned`].
+    /// [`ConnServer::start_versioned`] or with
+    /// [`ServerConfig::retain_views`] 0.
     fn version_window(&self) -> Option<(Version, Version)> {
         self.views.as_ref().and_then(|store| store.bounds())
     }
@@ -855,16 +851,15 @@ fn writer_loop<B: BatchDynamic + 'static>(
         // attribution context for nested instrumentation (the WAL hook
         // and the shard coordinator run inside this round but only the
         // hook is told its number).
-        let round_started = config.trace.as_ref().map(|t| {
+        if let Some(t) = &config.trace {
             t.set_current_round(round_no);
-            Instant::now()
-        });
-        // The health heartbeat keeps its own wall clock: taking a round
-        // is progress (stall detection), committing it grades the SLO.
-        let health_started = config.health.as_ref().map(|h| {
+        }
+        // Health: taking a round is progress (stall detection); its
+        // commit grades the SLO against the same round-start instant.
+        if let Some(h) = &config.health {
             h.note_round_start();
-            Instant::now()
-        });
+        }
+        let round_started = (config.trace.is_some() || config.health.is_some()).then(Instant::now);
         // Coalesce wait: how long the round's oldest request sat admitted.
         if let Some(oldest) = round.iter().map(|r| r.admitted).min() {
             let waited = oldest.elapsed();
@@ -958,7 +953,7 @@ fn writer_loop<B: BatchDynamic + 'static>(
                 shared.metrics.rounds_committed.inc();
                 shared.metrics.ops_committed.add(ops.len() as u64);
                 shared.metrics.round_size_ops.record(ops.len() as u64);
-                if let (Some(h), Some(started)) = (&config.health, health_started) {
+                if let (Some(h), Some(started)) = (&config.health, round_started) {
                     h.note_round_commit(started.elapsed());
                 }
                 // Wake min_version fences now that the commit counter
@@ -1693,6 +1688,22 @@ mod tests {
     }
 
     #[test]
+    fn versioned_server_with_zero_retention_publishes_nothing() {
+        // `retain_views` alone turns views on: 0 publishes nothing under
+        // `start_versioned` too.
+        let s = versioned_server(8, ServerConfig::new().deterministic(true).retain_views(0));
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
+        s.seal_round();
+        t.wait().unwrap();
+        let empty = dyncon_api::empty_window_error(0);
+        assert_eq!(s.read_view().unwrap_err(), empty);
+        let snap = s.metrics_snapshot();
+        let publish = snap.get("dyncon_server_snapshot_publish_ns").unwrap();
+        assert_eq!(publish.value.as_histogram().unwrap().count, 0);
+        s.join();
+    }
+
+    #[test]
     fn min_version_fence_gates_admission() {
         let s = versioned_server(8, ServerConfig::new().deterministic(true));
         // Non-blocking fence on a future version: typed rejection.
@@ -1778,7 +1789,8 @@ mod tests {
 
     #[test]
     fn read_async_runs_on_the_reader_pool() {
-        let s = versioned_server(8, ServerConfig::new().deterministic(true).reader_threads(2));
+        let config = ServerConfig::new().deterministic(true).retain_views(8);
+        let s = versioned_server(8, config.reader_threads(2));
         let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
         s.seal_round();
         t.wait().unwrap();

@@ -204,6 +204,22 @@ fn check_manifest(base: &Path, map: &ShardMap) -> Result<(), DynConError> {
     }
 }
 
+/// The configuration every shard server (and the cross store) starts
+/// with: the outer config's `worker_threads`, the pooled registry, and
+/// otherwise the defaults. Always deterministic: a shard round is one
+/// coordinator sub-batch, sealed explicitly — required for
+/// byte-identical per-shard WAL replay, and free (sole client, no
+/// reordering).
+pub(crate) fn shard_server_config(config: &ShardConfig, registry: &Registry) -> ServerConfig {
+    ServerConfig {
+        deterministic: true,
+        queue_capacity: 2,
+        worker_threads: config.server.worker_threads,
+        metrics: Some(registry.clone()),
+        ..ServerConfig::default()
+    }
+}
+
 impl<B> ShardedBackend<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
@@ -225,19 +241,7 @@ where
             [OpKind::Insert, OpKind::Delete, OpKind::Query].map(|kind| probe.supports(kind));
         drop(probe);
         let metrics = ShardMetrics::register(&registry);
-        let server_config = || {
-            // Always deterministic: a shard round is one coordinator
-            // sub-batch, sealed explicitly — required for byte-identical
-            // per-shard WAL replay, and free (sole client, no reordering).
-            let c = ServerConfig::new()
-                .deterministic(true)
-                .queue_capacity(2)
-                .metrics(registry.clone());
-            match config.shard_worker_threads {
-                Some(t) => c.worker_threads(t),
-                None => c,
-            }
-        };
+        let server_config = || shard_server_config(config, &registry);
         let mut shards = Vec::with_capacity(map.num_shards());
         let cross = match &config.durable {
             None => {
@@ -282,7 +286,7 @@ where
             cross,
             boundary,
             metrics,
-            trace: config.trace.clone(),
+            trace: config.server.trace.clone(),
             supports,
         })
     }

@@ -41,7 +41,10 @@
 //! shard, shard servers always run in deterministic mode with the
 //! coordinator as sole client (one sealed round per sub-batch), and the
 //! boundary graph is built in canonical (sorted cross-edge) order. With
-//! [`ShardConfig::deterministic`] on the outer server too, a client
+//! deterministic mode on the outer server too
+//! ([`ShardConfig::server`] with
+//! [`ServerConfig::deterministic`](dyncon_server::ServerConfig::deterministic)),
+//! a client
 //! observes byte-identical [`BatchResult`](dyncon_api::BatchResult)s
 //! regardless of `DYNCON_THREADS` or the shard count — proven against
 //! the single-backend naive oracle in this repo's test suite.

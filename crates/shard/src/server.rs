@@ -11,13 +11,11 @@ use crate::backend::{ShardShutdown, ShardedBackend};
 use crate::map::ShardMapKind;
 use dyncon_api::{BatchDynamic, BuildFrom, DynConError, ExportEdges};
 use dyncon_durable::DurableConfig;
-use dyncon_export::HealthState;
 use dyncon_metrics::{MetricsSnapshot, Registry};
 use dyncon_server::{ConnServer, RoundRecord, ServerConfig};
 use dyncon_trace::{RoundTrace, TraceRecorder};
 use std::ops::Deref;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Where (and how) the shards persist. Each shard gets its own
 /// WAL/snapshot directory `shard-NNN/` under the base dir, the
@@ -47,11 +45,13 @@ impl DurableShards {
     }
 }
 
-/// Configuration of a [`ShardedServer`]: the partition shape, the outer
-/// server's admission knobs, and optional per-shard durability.
+/// Configuration of a [`ShardedServer`]: what sharding owns (partition
+/// shape, optional per-shard durability) plus the **outer** server's
+/// [`ServerConfig`], which carries every admission knob.
 ///
-/// The *outer* server takes the deterministic/record/batching knobs;
-/// the *shard* servers always run in deterministic mode (the
+/// Two outer fields also reach the shards: `worker_threads` pins every
+/// shard writer's pool, and `trace` receives the coordinator's fan-out
+/// spans. The *shard* servers always run in deterministic mode (the
 /// coordinator is their sole client and seals every sub-round
 /// explicitly, so determinism costs nothing and keeps per-shard WALs
 /// byte-replayable).
@@ -59,17 +59,7 @@ impl DurableShards {
 pub struct ShardConfig {
     pub(crate) shards: usize,
     pub(crate) kind: ShardMapKind,
-    pub(crate) deterministic: bool,
-    pub(crate) record_rounds: bool,
-    pub(crate) max_batch_ops: usize,
-    pub(crate) max_coalesce_wait: Duration,
-    pub(crate) queue_capacity: usize,
-    pub(crate) shard_worker_threads: Option<usize>,
-    pub(crate) retain_views: usize,
-    pub(crate) reader_threads: usize,
-    pub(crate) metrics: Option<Registry>,
-    pub(crate) trace: Option<TraceRecorder>,
-    pub(crate) health: Option<HealthState>,
+    pub(crate) server: ServerConfig,
     pub(crate) durable: Option<DurableShards>,
 }
 
@@ -78,17 +68,7 @@ impl Default for ShardConfig {
         Self {
             shards: 2,
             kind: ShardMapKind::Hash,
-            deterministic: false,
-            record_rounds: false,
-            max_batch_ops: 4096,
-            max_coalesce_wait: Duration::from_micros(200),
-            queue_capacity: 1024,
-            shard_worker_threads: None,
-            retain_views: 0,
-            reader_threads: 0,
-            metrics: None,
-            trace: None,
-            health: None,
+            server: ServerConfig::default(),
             durable: None,
         }
     }
@@ -112,95 +92,37 @@ impl ShardConfig {
         self
     }
 
-    /// Deterministic mode for the **outer** server: explicit round
-    /// sealing and canonical `(client, seq)` admission order. Combined
-    /// with the always-deterministic shards and the canonical
-    /// decomposition, results are byte-identical across thread counts
-    /// and shard counts.
-    pub fn deterministic(mut self, yes: bool) -> Self {
-        self.deterministic = yes;
+    /// The outer server's configuration, replacing the embedded one and
+    /// whatever the shorthands below set before. Its durability seams
+    /// (`round_hook`, `round_abort`, `first_version`) belong to the
+    /// per-shard WALs ([`ShardConfig::durable`]), so
+    /// [`ShardedServer::start`] rejects them.
+    pub fn server(mut self, server: ServerConfig) -> Self {
+        self.server = server;
         self
     }
 
-    /// Record the outer server's per-round replay log.
-    pub fn record_rounds(mut self, yes: bool) -> Self {
-        self.record_rounds = yes;
-        self
-    }
-
-    /// Outer round size cap.
-    pub fn batch_cap(mut self, ops: usize) -> Self {
-        self.max_batch_ops = ops;
-        self
-    }
-
-    /// Outer coalescing window.
-    pub fn coalesce_wait(mut self, wait: Duration) -> Self {
-        self.max_coalesce_wait = wait;
-        self
-    }
-
-    /// Outer admission queue capacity (requests, for backpressure).
-    pub fn queue_capacity(mut self, requests: usize) -> Self {
-        self.queue_capacity = requests;
-        self
-    }
-
-    /// Rayon pool size for **each** shard's writer (and the outer
-    /// writer). `None` inherits `DYNCON_THREADS`/core count.
+    /// Set the outer [`ServerConfig::worker_threads`], which also pins
+    /// **each** shard writer's pool. A shorthand the benchmark calls.
     pub fn shard_worker_threads(mut self, threads: usize) -> Self {
-        self.shard_worker_threads = Some(threads);
+        self.server = self.server.worker_threads(threads);
         self
     }
 
-    /// Enable MVCC versioned reads on the **outer** server: after every
-    /// outer commit round the coordinator exports the global edge set
-    /// (each shard quiesced at that same outer version, boundary graph
-    /// included) and retains it as that outer [`dyncon_api::Version`]'s
-    /// snapshot, keeping the last `versions` of them (0, the default,
-    /// disables publication; see
-    /// [`dyncon_server::ServerConfig::retain_views`]).
-    pub fn retain_views(mut self, versions: usize) -> Self {
-        self.retain_views = versions;
+    /// Set the outer [`ServerConfig::record_rounds`]. A shorthand the
+    /// benchmark calls.
+    pub fn record_rounds(mut self, yes: bool) -> Self {
+        self.server = self.server.record_rounds(yes);
         self
     }
 
-    /// Reader threads serving [`ConnServer::read_async`] off the
-    /// commit path (0, the default, runs reads inline). See
-    /// [`dyncon_server::ServerConfig::reader_threads`].
-    pub fn reader_threads(mut self, threads: usize) -> Self {
-        self.reader_threads = threads;
-        self
-    }
-
-    /// Pool all metrics (outer server, shard servers, WALs,
-    /// coordinator) in this registry instead of a fresh one.
-    pub fn metrics(mut self, registry: Registry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Attach a [`TraceRecorder`]: the outer writer records its own
-    /// pipeline stages (coalesce wait, apply, publish, fill), and the
-    /// coordinator attributes each outer round's fan-out — decompose,
-    /// one sub-round span per shard, the cross store's sub-round, lazy
-    /// boundary rebuilds, and cross-shard query resolution. The shard
-    /// servers themselves are *not* instrumented (their writer stages
-    /// are inside the coordinator's per-shard sub-round spans).
-    /// Observational only; see [`dyncon_server::ServerConfig::trace`].
+    /// Set the outer [`ServerConfig::trace`]: the coordinator adds each
+    /// outer round's fan-out (decompose, one span per shard sub-round,
+    /// the cross store's sub-round, boundary rebuilds, cross-shard
+    /// queries); the shard writers are not instrumented themselves. A
+    /// shorthand the benchmark calls.
     pub fn trace(mut self, recorder: TraceRecorder) -> Self {
-        self.trace = Some(recorder);
-        self
-    }
-
-    /// Feed the **outer** server's liveness signals (writer heartbeat,
-    /// queue depth, backpressure, SLO grading of outer rounds) into
-    /// this health engine. The shard servers are not separately
-    /// instrumented: a wedged shard stalls the outer writer, which is
-    /// exactly what the watchdog watches. Observational only; see
-    /// [`dyncon_server::ServerConfig::health`].
-    pub fn health(mut self, health: HealthState) -> Self {
-        self.health = Some(health);
+        self.server = self.server.trace(recorder);
         self
     }
 
@@ -216,7 +138,7 @@ impl ShardConfig {
 #[derive(Debug)]
 pub struct ShardedReport<B> {
     /// The outer server's per-round replay log (empty unless
-    /// [`ShardConfig::record_rounds`]).
+    /// the outer [`ServerConfig::record_rounds`]).
     pub rounds: Vec<RoundRecord>,
     /// Outer commit rounds.
     pub rounds_committed: u64,
@@ -230,7 +152,7 @@ pub struct ShardedReport<B> {
     /// The cross-edge store's backend and counters.
     pub cross: ShardShutdown<B>,
     /// The slowest outer round's stage breakdown, when a
-    /// [`ShardConfig::trace`] recorder was attached (`None` otherwise).
+    /// [`ServerConfig::trace`] recorder was attached (`None` otherwise).
     pub slowest_round: Option<RoundTrace>,
 }
 
@@ -253,7 +175,8 @@ pub struct ShardedReport<B> {
 /// globally consistent snapshot — all shards and the boundary graph
 /// pinned at the same outer version, because the coordinator exports
 /// between outer rounds, when every shard has quiesced.
-/// [`ConnServer::read_async`] needs [`ShardConfig::retain_views`] > 0.
+/// [`ConnServer::read_async`] needs the embedded
+/// [`ServerConfig::retain_views`] > 0 (see [`ShardConfig::server`]).
 pub struct ShardedServer<B>
 where
     B: BatchDynamic + BuildFrom + ExportEdges + Send + 'static,
@@ -269,38 +192,32 @@ where
 {
     /// Partition `num_vertices` per `config`, start every shard server,
     /// and put the outer admission server in front.
+    ///
+    /// Fails with [`DynConError::Unsupported`] when the outer config sets
+    /// `round_hook`, `round_abort` or `first_version > 0`: outer rounds
+    /// have no log to hook, and outer versions start at 0.
     pub fn start(num_vertices: usize, config: ShardConfig) -> Result<Self, DynConError> {
-        let registry = config.metrics.clone().unwrap_or_default();
+        let outer = &config.server;
+        let rejected = [
+            (outer.round_hook.is_some(), "ServerConfig::round_hook"),
+            (outer.round_abort.is_some(), "ServerConfig::round_abort"),
+            (outer.first_version > 0, "ServerConfig::first_version"),
+        ];
+        if let Some(&(_, operation)) = rejected.iter().find(|(set, _)| *set) {
+            return Err(DynConError::Unsupported {
+                backend: "sharded",
+                operation,
+            });
+        }
+        let registry = outer.metrics.clone().unwrap_or_default();
         let backend = ShardedBackend::start(num_vertices, &config, registry.clone())?;
         let num_shards = backend.shard_map().num_shards();
-        let mut outer = ServerConfig::new()
-            .batch_cap(config.max_batch_ops)
-            .coalesce_wait(config.max_coalesce_wait)
-            .queue_capacity(config.queue_capacity)
-            .deterministic(config.deterministic)
-            .record_rounds(config.record_rounds)
-            .retain_views(config.retain_views)
-            .reader_threads(config.reader_threads)
-            .metrics(registry.clone());
-        if let Some(threads) = config.shard_worker_threads {
-            outer = outer.worker_threads(threads);
-        }
-        if let Some(trace) = config.trace.clone() {
-            outer = outer.trace(trace);
-        }
-        if let Some(health) = config.health.clone() {
-            outer = outer.health(health);
-        }
         // With views on, the outer writer exports the global edge set
         // between outer rounds — every shard has fully committed its
         // sub-rounds of outer round r and none has seen r+1, so the
         // per-shard states and the boundary graph are all pinned at the
         // same outer version.
-        let inner = if config.retain_views > 0 {
-            ConnServer::start_versioned(backend, outer)
-        } else {
-            ConnServer::start(backend, outer)
-        };
+        let inner = ConnServer::start_versioned(backend, config.server.metrics(registry.clone()));
         Ok(Self {
             inner,
             registry,
@@ -348,5 +265,52 @@ where
 
     fn deref(&self) -> &Self::Target {
         &self.inner
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::shard_server_config;
+    use dyncon_core::BatchDynamicConnectivity;
+    use std::sync::Arc;
+
+    #[test]
+    fn start_rejects_outer_durability_seams_and_worker_threads_reach_every_pool() {
+        let hook: dyncon_server::RoundHook = Arc::new(|_, _| Ok(()));
+        for (server, operation) in [
+            (
+                ServerConfig::new().round_hook(hook.clone()),
+                "ServerConfig::round_hook",
+            ),
+            (
+                ServerConfig::new().round_abort(hook.clone()),
+                "ServerConfig::round_abort",
+            ),
+            (
+                ServerConfig::new().first_version(1),
+                "ServerConfig::first_version",
+            ),
+        ] {
+            let config = ShardConfig::new().server(server);
+            let Err(err) = ShardedServer::<BatchDynamicConnectivity>::start(16, config) else {
+                panic!("{operation} must be rejected");
+            };
+            let backend = "sharded";
+            assert_eq!(err, DynConError::Unsupported { backend, operation });
+        }
+        // One outer `worker_threads` pins the outer writer's pool and,
+        // through the shard server config, every shard writer's pool.
+        let config = ShardConfig::new()
+            .server(ServerConfig::new().deterministic(true))
+            .shard_worker_threads(3);
+        assert!(config.server.deterministic, "the shorthand keeps the rest");
+        assert_eq!(config.server.worker_threads, Some(3));
+        let shard = shard_server_config(&config, &Registry::new());
+        assert_eq!(shard.worker_threads, Some(3));
+        ShardedServer::<BatchDynamicConnectivity>::start(16, config)
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

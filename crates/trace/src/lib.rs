@@ -22,15 +22,16 @@
 //!   renders a human stage table.
 //! - [`serve_telemetry`] — a `TcpListener` thread serving `GET /metrics`
 //!   (Prometheus text from a [`dyncon_metrics::Registry`]), `GET /trace`
-//!   (Chrome-trace JSON) and `GET /slow` (the slow-round log), so a
-//!   scraper or a human with `curl` can observe a live service. Each
-//!   connection gets its own short-lived handler thread (bounded), and
-//!   [`serve_telemetry_with_health`] adds `/healthz` + `/readyz` routes
-//!   backed by caller-supplied [`HealthRoutes`] probes (the
-//!   `dyncon-export` health engine is the canonical producer).
+//!   (Chrome-trace JSON), `GET /slow` (the slow-round log) and
+//!   `/healthz` + `/readyz` backed by optional caller-supplied
+//!   [`HealthRoutes`] probes (the `dyncon-export` health engine is the
+//!   canonical producer), so a scraper or a human with `curl` can
+//!   observe a live service. Each connection gets its own short-lived
+//!   handler thread (bounded).
 //!
-//! Attach a recorder with `ServerConfig::trace` (serving layer) or
-//! `ShardConfig::trace` (sharded layer). The contract is the same as
+//! Attach a recorder with `ServerConfig::trace` — the same field on every
+//! serving layer (the sharded layer embeds one `ServerConfig` in its
+//! `ShardConfig`). The contract is the same as
 //! for metrics: **observational only** — tracing never influences
 //! admission, round boundaries, or results, and `tests/determinism.rs`
 //! proves rounds stay byte-identical with tracing and the endpoint
@@ -45,6 +46,4 @@ pub use chrome::chrome_trace_json_from;
 pub use recorder::{
     traced, RoundTrace, SlowRoundLog, Span, Stage, StageBreakdown, TraceConfig, TraceRecorder,
 };
-pub use telemetry::{
-    serve_telemetry, serve_telemetry_with_health, HealthProbe, HealthRoutes, TelemetryServer,
-};
+pub use telemetry::{serve_telemetry, HealthProbe, HealthRoutes, TelemetryServer};

@@ -15,8 +15,7 @@ use std::time::Duration;
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Cap on concurrent per-connection handler threads. At the cap the
-/// accept loop serves inline, which backpressures accepting — still
-/// strictly better than the old serve-everything-serially behaviour.
+/// accept loop serves inline, which backpressures accepting.
 const MAX_CONCURRENT_HANDLERS: usize = 32;
 
 /// A health probe: `(healthy, body)`. The closure must be cheap and
@@ -92,30 +91,6 @@ impl Drop for TelemetryServer {
     }
 }
 
-/// Serve `registry` and `recorder` over HTTP on `addr` from a
-/// dedicated thread, until the returned handle is closed:
-///
-/// - `GET /metrics` — the registry snapshot in Prometheus text
-///   exposition format (what `render_prometheus()` produces).
-/// - `GET /trace` — the trace ring as Chrome-trace JSON (load the
-///   response body in `chrome://tracing` or Perfetto).
-/// - `GET /slow` — the slow-round log as human-readable stage tables.
-/// - anything else — 404.
-///
-/// Observational only, like the recorder itself: scraping snapshots
-/// shared-state copies and never touches admission or the writer.
-/// One request per connection (`Connection: close`); each accepted
-/// connection is served on a short-lived thread (capped at
-/// `MAX_CONCURRENT_HANDLERS`, 32) so one stalled scraper cannot
-/// head-of-line block `/metrics` for everyone else.
-pub fn serve_telemetry(
-    addr: impl ToSocketAddrs,
-    registry: Registry,
-    recorder: TraceRecorder,
-) -> io::Result<TelemetryServer> {
-    serve_telemetry_with_health(addr, registry, recorder, None)
-}
-
 /// Decrements the live-handler count when the connection finishes —
 /// or when a failed `spawn` drops the un-run closure holding it.
 struct HandlerGuard(Arc<AtomicUsize>);
@@ -126,12 +101,28 @@ impl Drop for HandlerGuard {
     }
 }
 
-/// [`serve_telemetry`], plus `/healthz` and `/readyz` backed by the
-/// given [`HealthRoutes`]. With `None` both routes answer 200 (the
-/// process is trivially alive and nothing is tracking readiness);
-/// with probes attached an unhealthy/unready answer is an HTTP 503
-/// whose body explains why.
-pub fn serve_telemetry_with_health(
+/// Serve `registry`, `recorder` and the optional `health` probes over
+/// HTTP on `addr` from a dedicated thread, until the returned handle is
+/// closed:
+///
+/// - `GET /metrics` — the registry snapshot in Prometheus text
+///   exposition format (what `render_prometheus()` produces).
+/// - `GET /trace` — the trace ring as Chrome-trace JSON (load the
+///   response body in `chrome://tracing` or Perfetto).
+/// - `GET /slow` — the slow-round log as human-readable stage tables.
+/// - `GET /healthz`, `GET /readyz` — the [`HealthRoutes`] probes. With
+///   `None` both answer 200 (the process is trivially alive and nothing
+///   is tracking readiness); with probes attached an unhealthy/unready
+///   answer is an HTTP 503 whose body explains why.
+/// - anything else — 404.
+///
+/// Observational only, like the recorder itself: scraping snapshots
+/// shared-state copies and never touches admission or the writer.
+/// One request per connection (`Connection: close`); each accepted
+/// connection is served on a short-lived thread (capped at
+/// `MAX_CONCURRENT_HANDLERS`, 32) so one stalled scraper cannot
+/// head-of-line block `/metrics` for everyone else.
+pub fn serve_telemetry(
     addr: impl ToSocketAddrs,
     registry: Registry,
     recorder: TraceRecorder,
@@ -286,8 +277,8 @@ mod tests {
         let recorder = TraceRecorder::new();
         recorder.record(4, Stage::Apply, Instant::now(), 8);
         recorder.complete_round(4, Duration::from_millis(20), 8);
-        let server =
-            serve_telemetry("127.0.0.1:0", registry, recorder).expect("bind an ephemeral port");
+        let server = serve_telemetry("127.0.0.1:0", registry, recorder, None)
+            .expect("bind an ephemeral port");
         let addr = server.local_addr();
 
         let (head, body) = get(addr, "/metrics");
@@ -324,7 +315,8 @@ mod tests {
 
     #[test]
     fn close_is_idempotent_and_drop_joins() {
-        let server = serve_telemetry("127.0.0.1:0", Registry::new(), TraceRecorder::new()).unwrap();
+        let server =
+            serve_telemetry("127.0.0.1:0", Registry::new(), TraceRecorder::new(), None).unwrap();
         server.close();
         server.close();
         drop(server); // must not hang
@@ -332,7 +324,8 @@ mod tests {
 
     #[test]
     fn health_routes_default_to_ok_without_probes() {
-        let server = serve_telemetry("127.0.0.1:0", Registry::new(), TraceRecorder::new()).unwrap();
+        let server =
+            serve_telemetry("127.0.0.1:0", Registry::new(), TraceRecorder::new(), None).unwrap();
         let addr = server.local_addr();
         let (head, body) = get(addr, "/healthz");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -357,7 +350,7 @@ mod tests {
                 }
             }),
         };
-        let server = serve_telemetry_with_health(
+        let server = serve_telemetry(
             "127.0.0.1:0",
             Registry::new(),
             TraceRecorder::new(),
@@ -388,7 +381,7 @@ mod tests {
     fn stalled_connection_does_not_block_other_scrapers() {
         let registry = Registry::new();
         registry.counter("alive_total", "ops", "").inc();
-        let server = serve_telemetry("127.0.0.1:0", registry, TraceRecorder::new()).unwrap();
+        let server = serve_telemetry("127.0.0.1:0", registry, TraceRecorder::new(), None).unwrap();
         let addr = server.local_addr();
         // Open (and hold) connections that send nothing.
         let stalled: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();

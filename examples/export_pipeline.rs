@@ -22,7 +22,7 @@ use dyncon_export::{Collector, ExportConfig, HealthState, TelemetryExporter};
 use dyncon_graphgen::zipf_client_schedules;
 use dyncon_metrics::Registry;
 use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
-use dyncon_trace::{serve_telemetry_with_health, TraceRecorder};
+use dyncon_trace::{serve_telemetry, TraceRecorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -73,7 +73,7 @@ fn main() {
 
     // Local pull endpoint with the health routes attached: /healthz,
     // /readyz alongside /metrics, /trace, /slow.
-    let telemetry = serve_telemetry_with_health(
+    let telemetry = serve_telemetry(
         "127.0.0.1:0",
         registry.clone(),
         recorder.clone(),

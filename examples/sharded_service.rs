@@ -15,7 +15,7 @@
 use dyncon_api::{BatchDynamic, Connectivity, ExportEdges};
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_graphgen::zipf_client_schedules;
-use dyncon_server::SubmitOptions;
+use dyncon_server::{ServerConfig, SubmitOptions};
 use dyncon_shard::{ShardConfig, ShardMapKind, ShardedServer};
 use dyncon_spanning::NaiveDynamicGraph;
 
@@ -34,9 +34,12 @@ fn main() {
         ShardConfig::new()
             .shards(SHARDS)
             .kind(ShardMapKind::Hash)
-            .deterministic(true)
-            .record_rounds(true)
-            .queue_capacity(CLIENTS * ROUNDS),
+            .server(
+                ServerConfig::new()
+                    .deterministic(true)
+                    .record_rounds(true)
+                    .queue_capacity(CLIENTS * ROUNDS),
+            ),
     )
     .unwrap();
 

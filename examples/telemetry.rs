@@ -50,8 +50,8 @@ fn main() {
     let recorder = TraceRecorder::with_config(
         TraceConfig::new().slow_round_threshold(Duration::from_micros(100)),
     );
-    let telemetry =
-        serve_telemetry("127.0.0.1:0", registry.clone(), recorder.clone()).expect("endpoint binds");
+    let telemetry = serve_telemetry("127.0.0.1:0", registry.clone(), recorder.clone(), None)
+        .expect("endpoint binds");
     let addr = telemetry.local_addr();
     println!("telemetry endpoint listening on http://{addr}");
     println!("  (try: curl http://{addr}/metrics | head)");

@@ -161,9 +161,12 @@ fn sharded_kill_at_round_k_recovers_every_shard_and_the_boundary() {
             ShardConfig::new()
                 .shards(SHARDS)
                 .kind(ShardMapKind::Hash)
-                .deterministic(true)
-                .shard_worker_threads(threads)
-                .queue_capacity(ROUNDS)
+                .server(
+                    ServerConfig::new()
+                        .deterministic(true)
+                        .worker_threads(threads)
+                        .queue_capacity(ROUNDS),
+                )
                 .durable(
                     DurableShards::new(dir).config(DurableConfig::new().compact_on_join(false)),
                 ),

@@ -130,13 +130,13 @@ fn sharded_rounds_byte_identical_across_shard_and_thread_counts() {
     let run = |shards: usize, threads: usize, kind: ShardMapKind| -> Vec<RoundRecord> {
         let server: ShardedServer<BatchDynamicConnectivity> = ShardedServer::start(
             N,
-            ShardConfig::new()
-                .shards(shards)
-                .kind(kind)
-                .deterministic(true)
-                .record_rounds(true)
-                .shard_worker_threads(threads)
-                .queue_capacity(CLIENTS * ROUNDS),
+            ShardConfig::new().shards(shards).kind(kind).server(
+                ServerConfig::new()
+                    .deterministic(true)
+                    .record_rounds(true)
+                    .worker_threads(threads)
+                    .queue_capacity(CLIENTS * ROUNDS),
+            ),
         )
         .unwrap();
         for round in 0..ROUNDS {
@@ -200,15 +200,15 @@ fn tracing_and_telemetry_leave_deterministic_rounds_byte_identical() {
     const ROUNDS: usize = 5;
     let schedules = zipf_client_schedules(N, CLIENTS, ROUNDS, 24, 0.4, 1.1, 47);
     let run = |shards: usize, threads: usize, trace: Option<TraceRecorder>| -> Vec<RoundRecord> {
-        let mut config = ShardConfig::new()
-            .shards(shards)
+        let mut server = ServerConfig::new()
             .deterministic(true)
             .record_rounds(true)
-            .shard_worker_threads(threads)
+            .worker_threads(threads)
             .queue_capacity(CLIENTS * ROUNDS);
         if let Some(t) = trace {
-            config = config.trace(t);
+            server = server.trace(t);
         }
+        let config = ShardConfig::new().shards(shards).server(server);
         let server: ShardedServer<BatchDynamicConnectivity> =
             ShardedServer::start(N, config).unwrap();
         for round in 0..ROUNDS {
@@ -240,7 +240,8 @@ fn tracing_and_telemetry_leave_deterministic_rounds_byte_identical() {
         for threads in [1usize, 2, 4] {
             let recorder = TraceRecorder::new();
             let registry = dyncon_metrics::Registry::new();
-            let telemetry = serve_telemetry("127.0.0.1:0", registry, recorder.clone()).unwrap();
+            let telemetry =
+                serve_telemetry("127.0.0.1:0", registry, recorder.clone(), None).unwrap();
             let addr = telemetry.local_addr();
             // A scraper hammers the endpoint while rounds commit, so any
             // exporter-vs-recorder interference would surface here.
@@ -308,18 +309,18 @@ fn export_pipeline_leaves_deterministic_rounds_byte_identical() {
                obs: Option<&Observability>,
                kill_collector_after: Option<(usize, &Collector)>|
      -> Vec<RoundRecord> {
-        let mut config = ShardConfig::new()
-            .shards(shards)
+        let mut server = ServerConfig::new()
             .deterministic(true)
             .record_rounds(true)
-            .shard_worker_threads(threads)
+            .worker_threads(threads)
             .queue_capacity(CLIENTS * ROUNDS);
         if let Some(obs) = obs {
-            config = config
+            server = server
                 .metrics(obs.registry.clone())
                 .trace(obs.recorder.clone())
                 .health(obs.health.clone());
         }
+        let config = ShardConfig::new().shards(shards).server(server);
         let server: ShardedServer<BatchDynamicConnectivity> =
             ShardedServer::start(N, config).unwrap();
         for round in 0..ROUNDS {

@@ -152,12 +152,13 @@ fn sharded_views_match_oracle_replay_across_shards_and_threads() {
         for threads in [1usize, 2, 4] {
             let server: ShardedServer<BatchDynamicConnectivity> = ShardedServer::start(
                 N,
-                ShardConfig::new()
-                    .shards(shards)
-                    .deterministic(true)
-                    .shard_worker_threads(threads)
-                    .retain_views(ROUNDS)
-                    .queue_capacity(CLIENTS * ROUNDS),
+                ShardConfig::new().shards(shards).server(
+                    ServerConfig::new()
+                        .deterministic(true)
+                        .worker_threads(threads)
+                        .retain_views(ROUNDS)
+                        .queue_capacity(CLIENTS * ROUNDS),
+                ),
             )
             .unwrap();
             for round in 0..ROUNDS {
@@ -243,10 +244,11 @@ fn window_eviction_and_empty_window_are_typed_errors() {
 fn sharded_fence_reads_its_own_writes() {
     let server: ShardedServer<BatchDynamicConnectivity> = ShardedServer::start(
         128,
-        ShardConfig::new()
-            .shards(2)
-            .retain_views(4)
-            .coalesce_wait(std::time::Duration::from_micros(50)),
+        ShardConfig::new().shards(2).server(
+            ServerConfig::new()
+                .retain_views(4)
+                .coalesce_wait(std::time::Duration::from_micros(50)),
+        ),
     )
     .unwrap();
     // A cross-shard edge under hash partitioning.
