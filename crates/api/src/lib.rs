@@ -7,7 +7,8 @@
 //! workspace:
 //!
 //! * [`Connectivity`] — the read side: `connected`, `batch_connected`
-//!   (both `&self`), `num_components`, `component_size`;
+//!   (both `&self`), `num_components`, `component_size`, and
+//!   `component_ids` (stable opaque labels, the paper's `BatchFindRep`);
 //! * [`BatchDynamic`] — the write side plus [`BatchDynamic::apply`], which
 //!   takes a **mixed-operation batch** ([`Op::Insert`] / [`Op::Delete`] /
 //!   [`Op::Query`] interleaved in one slice) so streaming workloads no
@@ -66,6 +67,8 @@ pub use error::DynConError;
 pub use op::{decode_ops, encode_ops, BatchResult, Op, OpKind};
 pub use view::{empty_window_error, ReadView, Version, VersionedRead, EMPTY_WINDOW};
 
+use std::collections::HashMap;
+
 /// The read side of a connectivity structure: queries only, all `&self`,
 /// so concurrent readers never need exclusive access.
 ///
@@ -95,6 +98,54 @@ pub trait Connectivity {
 
     /// Number of vertices in `v`'s component (≥ 1).
     fn component_size(&self, v: u32) -> u64;
+
+    /// One opaque **component id** per input vertex: two ids are equal
+    /// iff their vertices are connected. Ids are also stable: while the
+    /// edge set does not change, a vertex keeps its id from call to call
+    /// (a batch of duplicate inserts and absent deletes changes nothing),
+    /// so a caller may cache ids, and compare ids from different calls,
+    /// until the next effective mutation. Nothing else about an id is
+    /// promised: a backend may hand out internal representatives that a
+    /// later mutation reuses for another component.
+    ///
+    /// The default labels by queries: one
+    /// [`Connectivity::batch_connected`] call per distinct component
+    /// among `vertices` (batching every still-unlabelled vertex), then
+    /// one more per component to find its smallest vertex, which is the
+    /// id — `O((k + n) × components)` query pairs for `k` inputs.
+    /// Backends with a representative lookup override it with `k`
+    /// lookups (the paper's `BatchFindRep`).
+    fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        let mut ids = vec![0u64; vertices.len()];
+        let mut pending: Vec<usize> = (0..vertices.len()).collect();
+        while let Some((&lead, rest)) = pending.split_first() {
+            let r = vertices[lead];
+            let pairs: Vec<(u32, u32)> = rest.iter().map(|&i| (r, vertices[i])).collect();
+            let mut group = vec![lead];
+            let mut next = Vec::with_capacity(rest.len());
+            for (&i, same) in rest.iter().zip(self.batch_connected(&pairs)) {
+                if same {
+                    group.push(i);
+                } else {
+                    next.push(i);
+                }
+            }
+            // The stable id is the component's smallest vertex: the first
+            // vertex below the group's minimum that `r` reaches, if any.
+            let min = group.iter().map(|&i| vertices[i]).min().unwrap_or(r);
+            let below: Vec<(u32, u32)> = (0..min).map(|w| (r, w)).collect();
+            let id = self
+                .batch_connected(&below)
+                .iter()
+                .position(|&hit| hit)
+                .map_or(min, |w| w as u32);
+            for i in group {
+                ids[i] = u64::from(id);
+            }
+            pending = next;
+        }
+        ids
+    }
 }
 
 /// The write side: batch mutations plus the mixed-operation entry point.
@@ -183,8 +234,8 @@ pub trait ExportEdges: Connectivity {
 }
 
 /// Group a vertex list into the connected components of `g`, using only
-/// the read-side batch query surface — the label-export helper a shard
-/// coordinator contracts boundary vertices with.
+/// the read-side surface — the label-export helper for callers that want
+/// vertex representatives rather than opaque ids.
 ///
 /// Returns, for each input position, the **representative vertex** of
 /// that vertex's component: the first vertex *in input order* that
@@ -194,28 +245,52 @@ pub trait ExportEdges: Connectivity {
 /// determinism contract needs. Duplicate input vertices simply share a
 /// representative.
 ///
-/// Costs one [`Connectivity::batch_connected`] call per **distinct
-/// component** represented in `vertices` (each call batches every
-/// still-unlabelled vertex), not one per vertex.
+/// Costs one [`Connectivity::component_ids`] call plus a hash map pass:
+/// `k` representative lookups on a backend that overrides
+/// `component_ids` (the core, HDT, [`ReadView`]), the default's query
+/// grouping otherwise.
 pub fn component_groups<C: Connectivity + ?Sized>(g: &C, vertices: &[u32]) -> Vec<u32> {
-    let mut rep = vec![0u32; vertices.len()];
-    let mut pending: Vec<usize> = (0..vertices.len()).collect();
-    while let Some((&lead, rest)) = pending.split_first() {
-        let r = vertices[lead];
-        rep[lead] = r;
-        let pairs: Vec<(u32, u32)> = rest.iter().map(|&i| (r, vertices[i])).collect();
-        let answers = g.batch_connected(&pairs);
-        let mut next = Vec::with_capacity(rest.len());
-        for (&i, same) in rest.iter().zip(answers) {
-            if same {
-                rep[i] = r;
-            } else {
-                next.push(i);
-            }
+    let ids = g.component_ids(vertices);
+    let mut first: HashMap<u64, u32> = HashMap::with_capacity(vertices.len());
+    vertices
+        .iter()
+        .zip(ids)
+        .map(|(&v, id)| *first.entry(id).or_insert(v))
+        .collect()
+}
+
+/// Min-label union-find: `labels[v]` is the **smallest vertex** of `v`'s
+/// component in the graph of `edges` over `num_vertices` vertices. The
+/// larger root always points at the smaller, so a root is its component's
+/// minimum; path halving keeps it near-linear. The result is a pure
+/// function of the partition — edge order does not matter.
+///
+/// Cost: `O(n + m α(n))`. [`ReadView::build`] labels a snapshot with it,
+/// and a shard coordinator contracts its boundary with it.
+pub fn min_labels(num_vertices: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+    fn find(parent: &mut [u32], mut v: u32) -> u32 {
+        while parent[v as usize] != v {
+            let grand = parent[parent[v as usize] as usize];
+            parent[v as usize] = grand;
+            v = grand;
         }
-        pending = next;
+        v
     }
-    rep
+    let mut parent: Vec<u32> = (0..num_vertices as u32).collect();
+    for &(u, v) in edges {
+        debug_assert!((u as usize) < num_vertices && (v as usize) < num_vertices);
+        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+        if ru != rv {
+            parent[ru.max(rv) as usize] = ru.min(rv);
+        }
+    }
+    // Ascending order flattens every path: a root is smaller than its
+    // members, so `parent[root]` is final before any member asks.
+    for v in 0..num_vertices as u32 {
+        let root = find(&mut parent, v);
+        parent[v as usize] = root;
+    }
+    parent
 }
 
 /// Reject an out-of-range vertex id with a typed error.
@@ -407,6 +482,30 @@ mod tests {
             vec![0, 0, 0, 0, 4, 4, 7]
         );
         assert!(component_groups(&g, &[]).is_empty());
+    }
+
+    #[test]
+    fn default_component_ids_are_canonical_and_stable() {
+        let mut g = Dense::new(8);
+        g.batch_insert(&[(3, 1), (1, 6), (4, 5)]).unwrap();
+        // Components: {0}, {1,3,6}, {2}, {4,5}, {7}. The default id is the
+        // component's smallest vertex, whatever the input order.
+        assert_eq!(g.component_ids(&[6, 5, 3, 0]), vec![1, 4, 1, 0]);
+        assert_eq!(g.component_ids(&[6]), vec![1], "stable across calls");
+        assert_eq!(g.component_ids(&[7, 7, 2]), vec![7, 7, 2]);
+        assert!(g.component_ids(&[]).is_empty());
+    }
+
+    #[test]
+    fn min_labels_name_each_component_by_its_smallest_vertex() {
+        // Edge order must not matter.
+        let edges = [(5, 2), (2, 4), (0, 3), (6, 3)];
+        let mut reversed = edges;
+        reversed.reverse();
+        let want = vec![0, 1, 2, 0, 2, 2, 0, 7];
+        assert_eq!(min_labels(8, &edges), want);
+        assert_eq!(min_labels(8, &reversed), want);
+        assert_eq!(min_labels(3, &[]), vec![0, 1, 2]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! A view answers every read-side question without touching the live
 //! structure: [`Connectivity::connected`], `component_size`,
-//! `num_components`, [`crate::component_groups`] and
+//! `num_components`, `component_ids`, [`crate::component_groups`] and
 //! [`ExportEdges::export_edges`](crate::ExportEdges::export_edges) all
 //! work on it, which is what lets a serving layer hand views to reader
 //! threads that never block the writer.
@@ -72,9 +72,10 @@ struct ViewInner {
 /// [`crate::component_groups`] — works on a view unchanged.
 ///
 /// Determinism: a view is built from the canonical sorted edge list, and
-/// labels are derived by a sequential min-label union-find — so two views
-/// of the same version hold byte-identical labels and edges regardless of
-/// thread count, shard count, or the backend that served them.
+/// labels are derived by a sequential min-label union-find
+/// ([`crate::min_labels`]) — so two views of the same version hold
+/// byte-identical labels and edges regardless of thread count, shard
+/// count, or the backend that served them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReadView {
     inner: Arc<ViewInner>,
@@ -94,31 +95,9 @@ impl ReadView {
                 .all(|w| w[0] <= w[1] && w[0].0 < w[0].1 && w[1].0 < w[1].1),
             "ReadView::build expects the canonical normalized sorted edge list"
         );
-        // Min-label union-find: the larger root always points at the
-        // smaller, so find(v) IS the canonical (minimum) vertex of v's
-        // component. Path halving keeps it near-linear.
-        let mut parent: Vec<u32> = (0..num_vertices as u32).collect();
-        fn find(parent: &mut [u32], mut v: u32) -> u32 {
-            while parent[v as usize] != v {
-                let grand = parent[parent[v as usize] as usize];
-                parent[v as usize] = grand;
-                v = grand;
-            }
-            v
-        }
-        for &(u, v) in &edges {
-            debug_assert!((u as usize) < num_vertices && (v as usize) < num_vertices);
-            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-            if ru != rv {
-                let (lo, hi) = (ru.min(rv), ru.max(rv));
-                parent[hi as usize] = lo;
-            }
-        }
-        let mut labels = vec![0u32; num_vertices];
+        let labels = crate::min_labels(num_vertices, &edges);
         let mut sizes: HashMap<u32, u64> = HashMap::new();
-        for v in 0..num_vertices as u32 {
-            let root = find(&mut parent, v);
-            labels[v as usize] = root;
+        for &root in &labels {
             *sizes.entry(root).or_insert(0) += 1;
         }
         Self {
@@ -175,6 +154,15 @@ impl Connectivity for ReadView {
 
     fn component_size(&self, v: u32) -> u64 {
         self.inner.sizes[&self.inner.labels[v as usize]]
+    }
+
+    /// The canonical labels themselves: each id is its component's
+    /// smallest vertex, stable for the life of the view.
+    fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        vertices
+            .iter()
+            .map(|&v| u64::from(self.inner.labels[v as usize]))
+            .collect()
     }
 }
 

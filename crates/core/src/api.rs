@@ -38,6 +38,10 @@ impl Connectivity for BatchDynamicConnectivity {
     fn component_size(&self, v: u32) -> u64 {
         BatchDynamicConnectivity::component_size(self, v)
     }
+
+    fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        BatchDynamicConnectivity::component_ids(self, vertices)
+    }
 }
 
 impl BatchDynamic for BatchDynamicConnectivity {

@@ -229,6 +229,14 @@ impl BatchDynamicConnectivity {
         self.levels[top].batch_connected(pairs)
     }
 
+    /// `BatchFindRep` (§2.1) against `F_L`: one opaque component id per
+    /// vertex, equal iff connected, in `O(k lg(1+n/k))` expected work.
+    /// Ids stay stable until the next mutation (they are skiplist
+    /// representatives, or tagged vertex ids for isolated vertices).
+    pub fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        self.levels[self.top()].batch_find_rep(vertices)
+    }
+
     /// Single connectivity query.
     pub fn connected(&self, u: u32, v: u32) -> bool {
         self.levels[self.top()].connected(u, v)

@@ -28,6 +28,10 @@ impl Connectivity for HdtConnectivity {
     fn component_size(&self, v: u32) -> u64 {
         HdtConnectivity::component_size(self, v)
     }
+
+    fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        HdtConnectivity::component_ids(self, vertices)
+    }
 }
 
 impl BatchDynamic for HdtConnectivity {

@@ -86,7 +86,8 @@ impl SeqEtt {
         self.treap.root(nu) == self.treap.root(nv)
     }
 
-    /// Representative of `v`'s tree (`u64::MAX ^ v` for isolated `v`).
+    /// Representative of `v`'s tree: its treap root, or `(1 << 63) | v`
+    /// for an isolated `v` (treap node ids stay below `1 << 63`).
     pub fn find_rep(&self, v: u32) -> u64 {
         let nv = self.vert_node[v as usize];
         if nv == NIL {

@@ -83,6 +83,14 @@ impl HdtConnectivity {
         self.forests[self.top()].component_size(v)
     }
 
+    /// One component id per vertex: the top forest's tree
+    /// representative, equal iff connected and stable until the next
+    /// mutation.
+    pub fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        let top = &self.forests[self.top()];
+        vertices.iter().map(|&v| top.find_rep(v)).collect()
+    }
+
     // ---- adjacency helpers -------------------------------------------
 
     fn adj_list(&mut self, v: u32, level: u8) -> &mut Vec<u64> {

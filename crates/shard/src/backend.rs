@@ -12,11 +12,12 @@ use crate::map::ShardMap;
 use crate::metrics::ShardMetrics;
 use crate::server::ShardConfig;
 use dyncon_api::{
-    component_groups, validate_vertex, BatchDynamic, BatchResult, BuildFrom, Builder, Connectivity,
+    min_labels, validate_vertex, BatchDynamic, BatchResult, BuildFrom, Builder, Connectivity,
     DynConError, ExportEdges, Op, OpKind,
 };
 use dyncon_durable::{storage_err, write_file_atomic, DurableServer};
 use dyncon_metrics::Registry;
+use dyncon_primitives::{FxHashMap, FxHashSet};
 use dyncon_server::{ConnServer, ServerConfig, SubmitOptions};
 use dyncon_trace::{Stage, TraceRecorder};
 use std::collections::HashMap;
@@ -85,6 +86,26 @@ pub struct ShardShutdown<B> {
     pub next_round: Option<u64>,
 }
 
+/// One shard's side of the boundary contraction.
+#[derive(Default)]
+struct ShardBoundary {
+    /// False once a sub-round changed this shard's edge set: the cached
+    /// component ids below are then void.
+    fresh: bool,
+    /// Component id of every current cross-edge endpoint (local id).
+    /// Ids stay valid while `fresh` ([`Connectivity::component_ids`]'s
+    /// stability contract).
+    ids: FxHashMap<u32, u64>,
+    /// Ascending local-id representatives of the shard's boundary
+    /// components: the smallest endpoint of each.
+    reps: Vec<u32>,
+    /// Component id → position in `reps`.
+    node_of_id: FxHashMap<u64, u32>,
+    /// Position in `reps` of every current endpoint's component, indexed
+    /// by local id (other entries are stale).
+    node_of_local: Vec<u32>,
+}
+
 /// The lazily rebuilt contraction of cross-shard connectivity.
 ///
 /// Vertices ("boundary nodes") are the per-shard local components that
@@ -92,32 +113,85 @@ pub struct ShardShutdown<B> {
 /// **representative**: the smallest local id among the component's
 /// cross-edge endpoints. Node ids are assigned shard-major over the
 /// ascending representative lists, and each cross edge contracts to the
-/// edge between its endpoints' nodes — all canonical, so the rebuilt
-/// graph is a pure function of the shard states and the cross-edge set.
-struct BoundaryCache<B> {
-    /// False whenever a mutation segment changed any edge set since the
-    /// last rebuild.
+/// edge between its endpoints' nodes — all canonical, so the contraction
+/// is a pure function of the shard states and the cross-edge set. It is
+/// kept as a static min-label union-find array over the nodes.
+///
+/// Freshness is tracked per source, so a rebuild costs what the rounds
+/// since the last one touched: the cross edges are mirrored (replayed
+/// from each committed cross sub-round, exported only at start or after
+/// a failure), a shard's endpoints are re-labelled only if that shard
+/// changed, and otherwise a shard is asked only for the ids of endpoints
+/// it has not labelled yet.
+struct BoundaryCache {
+    /// False whenever a sub-round changed any source since the last
+    /// rebuild.
     fresh: bool,
-    /// Per shard: ascending local-id representatives of its boundary
-    /// components.
-    reps: Vec<Vec<u32>>,
-    /// Node id of `reps[s][0]` (shard-major prefix sums).
+    /// False when `cross_edges` may differ from the cross store's edge
+    /// set: at start, and after a failed segment or a replay whose counts
+    /// disagreed with the store's.
+    cross_fresh: bool,
+    /// Mirror of the cross store's edge set, normalized (global ids):
+    /// exported once, then kept up to date by replaying each committed
+    /// cross sub-round ([`BoundaryCache::mirror_cross`]).
+    cross_edges: FxHashSet<(u32, u32)>,
+    /// False once `cross_edges` changed since `endpoints` was derived.
+    endpoints_fresh: bool,
+    /// Per shard: its distinct cross-edge endpoints, ascending local ids.
+    endpoints: Vec<Vec<u32>>,
+    shards: Vec<ShardBoundary>,
+    /// Node id of `shards[s].reps[0]` (shard-major prefix sums).
     offsets: Vec<usize>,
-    /// Total boundary nodes.
-    nodes: usize,
-    /// The contracted graph over `nodes` vertices (`None` when there are
-    /// no cross edges at all).
-    graph: Option<B>,
+    /// Min-label union-find labels of the contracted graph, one per
+    /// boundary node ([`min_labels`]): equal iff the nodes are connected
+    /// through cross edges.
+    labels: Vec<u32>,
 }
 
-impl<B> BoundaryCache<B> {
+impl BoundaryCache {
     fn stale(shards: usize) -> Self {
         Self {
             fresh: false,
-            reps: vec![Vec::new(); shards],
+            cross_fresh: false,
+            cross_edges: FxHashSet::default(),
+            endpoints_fresh: false,
+            endpoints: vec![Vec::new(); shards],
+            shards: (0..shards).map(|_| ShardBoundary::default()).collect(),
             offsets: vec![0; shards],
-            nodes: 0,
-            graph: None,
+            labels: Vec::new(),
+        }
+    }
+
+    /// Replay one committed cross sub-round of `ops` on the mirror. The
+    /// store has set semantics (duplicate inserts and absent deletes are
+    /// ignored), so the same ops in the same order give the same edge
+    /// set; counts that disagree with the store's `inserted`/`deleted`
+    /// void the mirror, and the next rebuild re-exports.
+    fn mirror_cross(&mut self, ops: &[Op], inserted: usize, deleted: usize) {
+        self.fresh = false;
+        self.endpoints_fresh = false;
+        if !self.cross_fresh {
+            return;
+        }
+        let (mut ins, mut del) = (0, 0);
+        for &op in ops {
+            let (u, v) = op.endpoints();
+            let edge = (u.min(v), u.max(v));
+            match op {
+                Op::Insert(..) => ins += usize::from(self.cross_edges.insert(edge)),
+                Op::Delete(..) => del += usize::from(self.cross_edges.remove(&edge)),
+                Op::Query(..) => {}
+            }
+        }
+        self.cross_fresh = (ins, del) == (inserted, deleted);
+    }
+
+    /// Void every source.
+    fn invalidate_all(&mut self) {
+        self.fresh = false;
+        self.cross_fresh = false;
+        for shard in &mut self.shards {
+            shard.fresh = false;
         }
     }
 }
@@ -158,7 +232,7 @@ where
     /// Running it as a server (durable in durable mode) gives cross
     /// edges the same round/recovery semantics as shard edges.
     cross: ShardHandle<B>,
-    boundary: Mutex<BoundaryCache<B>>,
+    boundary: Mutex<BoundaryCache>,
     metrics: Arc<ShardMetrics>,
     /// The outer server's recorder (shared, not the shards'): the
     /// coordinator runs inside the outer writer's apply, so spans are
@@ -358,7 +432,9 @@ where
             let ops_n = ops.len() as u64;
             let submitted = self.trace.as_ref().map(|_| Instant::now());
             let shard = self.shards[s].conn();
-            let ticket = shard.submit_with(ops, SubmitOptions::new().as_client(COORDINATOR))?;
+            let ticket = shard
+                .submit_with(ops, SubmitOptions::new().as_client(COORDINATOR))
+                .map_err(|e| self.void_boundary(e))?;
             shard.seal_round();
             self.metrics.subrounds.inc();
             tickets.push((ticket, Some(s as u32), submitted, ops_n));
@@ -367,8 +443,12 @@ where
             let ops_n = cross_ops.len() as u64;
             let submitted = self.trace.as_ref().map(|_| Instant::now());
             let cross = self.cross.conn();
-            let ticket =
-                cross.submit_with(cross_ops, SubmitOptions::new().as_client(COORDINATOR))?;
+            let ticket = cross
+                .submit_with(
+                    cross_ops.clone(),
+                    SubmitOptions::new().as_client(COORDINATOR),
+                )
+                .map_err(|e| self.void_boundary(e))?;
             cross.seal_round();
             self.metrics.subrounds.inc();
             tickets.push((ticket, None, submitted, ops_n));
@@ -377,7 +457,7 @@ where
         for (ticket, shard, submitted, ops_n) in tickets {
             // The coordinator's sub-batch is the only request of its
             // shard round, so the round-level counts are its own.
-            let result = ticket.wait()?;
+            let result = ticket.wait().map_err(|e| self.void_boundary(e))?;
             // Sub-round latency as the coordinator observes it: submit
             // through commit acknowledgement, waited in canonical order
             // (a span can include time spent queued behind an earlier
@@ -388,145 +468,160 @@ where
                     None => t.record(round, Stage::CrossRound, submitted, ops_n),
                 }
             }
+            if result.inserted + result.deleted > 0 {
+                // This source's edge set changed, so its part of the
+                // contraction is stale. Zero counts mean every insert was
+                // a duplicate and every delete was absent — edge set and
+                // component ids unchanged, cache still valid.
+                let mut cache = self.boundary.lock().unwrap();
+                match shard {
+                    Some(s) => {
+                        cache.fresh = false;
+                        cache.shards[s as usize].fresh = false;
+                    }
+                    None => cache.mirror_cross(&cross_ops, result.inserted, result.deleted),
+                }
+            }
             inserted += result.inserted;
             deleted += result.deleted;
-        }
-        if inserted + deleted > 0 {
-            // Some edge set changed, so the contraction may be stale.
-            // Zero counts mean every insert was a duplicate and every
-            // delete was absent — edge sets unchanged, partition
-            // unchanged, cache still valid.
-            self.boundary.lock().unwrap().fresh = false;
         }
         Ok((inserted, deleted))
     }
 
-    /// Rebuild the boundary contraction if any mutation staled it.
-    fn ensure_boundary(&self, cache: &mut BoundaryCache<B>) -> Result<(), DynConError> {
+    /// A segment failed part-way: sub-rounds submitted before the failure
+    /// may have committed, so no cached source can be trusted.
+    fn void_boundary(&self, e: DynConError) -> DynConError {
+        self.boundary.lock().unwrap().invalidate_all();
+        e
+    }
+
+    /// Bring the boundary contraction up to date with every source a
+    /// sub-round changed since the last rebuild.
+    fn ensure_boundary(&self, cache: &mut BoundaryCache) -> Result<(), DynConError> {
         if cache.fresh {
             return Ok(());
         }
         let rebuild_started = self.trace.as_ref().map(|_| Instant::now());
-        let cross_edges = self.cross.conn().inspect(|b| b.export_edges())?;
-        // Distinct cross-edge endpoints per shard, ascending local ids —
-        // the canonical input order `component_groups` labels against.
-        let mut endpoints: Vec<Vec<u32>> = vec![Vec::new(); self.map.num_shards()];
-        for &(u, v) in &cross_edges {
-            endpoints[self.map.shard_of(u)].push(self.map.local_of(u));
-            endpoints[self.map.shard_of(v)].push(self.map.local_of(v));
+        if !cache.cross_fresh {
+            cache.cross_edges = self
+                .cross
+                .conn()
+                .inspect(|b| b.export_edges())?
+                .into_iter()
+                .collect();
+            cache.cross_fresh = true;
+            cache.endpoints_fresh = false;
         }
-        let mut reps: Vec<Vec<u32>> = Vec::with_capacity(endpoints.len());
-        let mut labelled: Vec<Vec<(u32, u32)>> = Vec::with_capacity(endpoints.len());
-        for (s, mut eps) in endpoints.into_iter().enumerate() {
-            eps.sort_unstable();
-            eps.dedup();
-            if eps.is_empty() {
-                reps.push(Vec::new());
-                labelled.push(Vec::new());
+        let endpoints_changed = !cache.endpoints_fresh;
+        if endpoints_changed {
+            // Distinct cross-edge endpoints per shard, ascending local ids.
+            for eps in &mut cache.endpoints {
+                eps.clear();
+            }
+            for &(u, v) in &cache.cross_edges {
+                cache.endpoints[self.map.shard_of(u)].push(self.map.local_of(u));
+                cache.endpoints[self.map.shard_of(v)].push(self.map.local_of(v));
+            }
+            for eps in &mut cache.endpoints {
+                eps.sort_unstable();
+                eps.dedup();
+            }
+        }
+        for (s, (shard, eps)) in cache.shards.iter_mut().zip(&cache.endpoints).enumerate() {
+            if shard.fresh && !endpoints_changed {
                 continue;
             }
-            let input = eps.clone();
-            let labels = self.shards[s]
-                .conn()
-                .inspect(move |b| component_groups(b, &input))?;
-            // Sorted input ⇒ each label is its component's minimum
-            // endpoint, so the distinct labels are already the ascending
-            // representative list.
-            let mut r = labels.clone();
-            r.sort_unstable();
-            r.dedup();
-            labelled.push(eps.into_iter().zip(labels).collect());
-            reps.push(r);
+            // Ask only for ids the shard cannot vouch for: all of them
+            // after it changed, otherwise the endpoints new since the last
+            // rebuild.
+            let unlabelled: Vec<u32> = if shard.fresh {
+                shard.ids.retain(|e, _| eps.binary_search(e).is_ok());
+                eps.iter()
+                    .copied()
+                    .filter(|e| !shard.ids.contains_key(e))
+                    .collect()
+            } else {
+                shard.ids.clear();
+                eps.clone()
+            };
+            if !unlabelled.is_empty() {
+                let ids = self.shards[s].conn().inspect({
+                    let unlabelled = unlabelled.clone();
+                    move |b| b.component_ids(&unlabelled)
+                })?;
+                shard.ids.extend(unlabelled.into_iter().zip(ids));
+            }
+            shard.fresh = true;
+            // Ascending endpoints ⇒ the first endpoint seen with an id is
+            // its component's smallest, so `reps` comes out ascending.
+            shard.reps.clear();
+            shard.node_of_id.clear();
+            shard.node_of_local.resize(self.map.shard_size(s), 0);
+            for &e in eps {
+                let next = shard.reps.len() as u32;
+                let pos = *shard.node_of_id.entry(shard.ids[&e]).or_insert(next);
+                if pos == next {
+                    shard.reps.push(e);
+                }
+                shard.node_of_local[e as usize] = pos;
+            }
         }
-        let mut offsets = Vec::with_capacity(reps.len());
+        // Only now: a lookup that failed above leaves the endpoints marked
+        // changed, so the next rebuild revisits every shard.
+        cache.endpoints_fresh = true;
         let mut nodes = 0usize;
-        for r in &reps {
-            offsets.push(nodes);
-            nodes += r.len();
+        for (offset, shard) in cache.offsets.iter_mut().zip(&cache.shards) {
+            *offset = nodes;
+            nodes += shard.reps.len();
         }
-        let graph = if nodes == 0 {
-            None
-        } else {
-            // Endpoint → node, per shard (every cross-edge endpoint has
-            // a node by construction).
-            let node_of: Vec<HashMap<u32, u32>> = labelled
-                .iter()
-                .enumerate()
-                .map(|(s, pairs)| {
-                    pairs
-                        .iter()
-                        .map(|&(endpoint, label)| {
-                            let pos = reps[s]
-                                .binary_search(&label)
-                                .expect("every label is a representative");
-                            (endpoint, (offsets[s] + pos) as u32)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut g: B = Builder::new(nodes).build()?;
-            // Contract in the cross store's canonical (sorted) edge
-            // order; node pairs are normalized explicitly because the
-            // shard-major node numbering need not follow global order.
-            let contracted: Vec<(u32, u32)> = cross_edges
-                .iter()
-                .map(|&(u, v)| {
-                    let nu = node_of[self.map.shard_of(u)][&self.map.local_of(u)];
-                    let nv = node_of[self.map.shard_of(v)][&self.map.local_of(v)];
-                    (nu.min(nv), nu.max(nv))
-                })
-                .collect();
-            g.batch_insert(&contracted)?;
-            self.metrics.boundary_ops.record(contracted.len() as u64);
-            Some(g)
+        let node_of = |g: u32| {
+            let s = self.map.shard_of(g);
+            cache.offsets[s] as u32 + cache.shards[s].node_of_local[self.map.local_of(g) as usize]
         };
+        let contracted: Vec<(u32, u32)> = cache
+            .cross_edges
+            .iter()
+            .map(|&(u, v)| (node_of(u), node_of(v)))
+            .collect();
+        cache.labels = min_labels(nodes, &contracted);
+        self.metrics.boundary_ops.record(contracted.len() as u64);
         self.metrics.boundary_rebuilds.inc();
         if let (Some(t), Some(started)) = (&self.trace, rebuild_started) {
             t.record(
                 t.current_round(),
                 Stage::BoundaryRebuild,
                 started,
-                cross_edges.len() as u64,
+                cache.cross_edges.len() as u64,
             );
         }
-        *cache = BoundaryCache {
-            fresh: true,
-            reps,
-            offsets,
-            nodes,
-            graph,
-        };
+        cache.fresh = true;
         Ok(())
     }
 
-    /// Map each of `locals` (ascending local ids in shard `s`) to its
-    /// boundary node, if its local component holds one.
+    /// Map each of `locals` (local ids in shard `s`) to its boundary node,
+    /// if its local component holds one: one `component_ids` call, looked
+    /// up in the shard's cached id → node map.
     fn nodes_of(
         &self,
-        cache: &BoundaryCache<B>,
+        cache: &BoundaryCache,
         s: usize,
         locals: &[u32],
     ) -> Result<Vec<Option<u32>>, DynConError> {
-        if cache.reps[s].is_empty() {
+        let shard = &cache.shards[s];
+        if shard.reps.is_empty() {
             return Ok(vec![None; locals.len()]);
         }
-        // Representatives first: any queried vertex locally connected to
-        // a boundary component gets that component's representative as
-        // its label (reps are pairwise disconnected, and each precedes
-        // every queried vertex in input order).
-        let mut input = cache.reps[s].clone();
-        let reps_len = input.len();
-        input.extend_from_slice(locals);
-        let labels = self.shards[s]
+        let input = locals.to_vec();
+        let ids = self.shards[s]
             .conn()
-            .inspect(move |b| component_groups(b, &input))?;
-        Ok(labels[reps_len..]
+            .inspect(move |b| b.component_ids(&input))?;
+        Ok(ids
             .iter()
-            .map(|label| {
-                cache.reps[s]
-                    .binary_search(label)
-                    .ok()
-                    .map(|pos| (cache.offsets[s] + pos) as u32)
+            .map(|id| {
+                shard
+                    .node_of_id
+                    .get(id)
+                    .map(|&pos| cache.offsets[s] as u32 + pos)
             })
             .collect())
     }
@@ -576,7 +671,7 @@ where
             || -> Result<(), DynConError> {
                 let mut cache = self.boundary.lock().unwrap();
                 self.ensure_boundary(&mut cache)?;
-                if cache.nodes == 0 {
+                if cache.labels.is_empty() {
                     // No cross edges anywhere: nothing unresolved can
                     // connect.
                     return Ok(());
@@ -602,24 +697,14 @@ where
                         }
                     }
                 }
-                let graph = cache.graph.as_ref().expect("nodes > 0 implies a graph");
-                let mut boundary_pairs: Vec<(u32, u32)> = Vec::new();
-                let mut boundary_slots: Vec<usize> = Vec::new();
                 for &i in &unresolved {
                     let (u, v) = pairs[i];
                     // An endpoint with no boundary node lives in a
                     // component confined to its shard — and it was not
                     // locally connected.
                     if let (Some(&nu), Some(&nv)) = (node_of.get(&u), node_of.get(&v)) {
-                        boundary_pairs.push((nu, nv));
-                        boundary_slots.push(i);
+                        answers[i] = cache.labels[nu as usize] == cache.labels[nv as usize];
                     }
-                }
-                for (&i, hit) in boundary_slots
-                    .iter()
-                    .zip(graph.batch_connected(&boundary_pairs))
-                {
-                    answers[i] = hit;
                 }
                 Ok(())
             },
@@ -676,21 +761,18 @@ where
         let mut cache = self.boundary.lock().unwrap();
         self.ensure_boundary(&mut cache)
             .expect("sharded num_components: boundary rebuild failed");
-        match &cache.graph {
-            None => total,
-            Some(g) => total - (cache.nodes - g.num_components()),
-        }
+        // nodes − contracted comps = the nodes that are not their
+        // component's root (label).
+        let labels = &cache.labels;
+        total
+            - (0..labels.len())
+                .filter(|&n| labels[n] as usize != n)
+                .count()
     }
 
     fn component_size(&self, v: u32) -> u64 {
         let s = self.map.shard_of(v);
         let local = self.map.local_of(v);
-        let local_size = || {
-            self.shards[s]
-                .conn()
-                .inspect(move |b| b.component_size(local))
-                .expect("sharded component_size: shard service failed")
-        };
         let mut cache = self.boundary.lock().unwrap();
         self.ensure_boundary(&mut cache)
             .expect("sharded component_size: boundary rebuild failed");
@@ -698,20 +780,25 @@ where
             .nodes_of(&cache, s, &[local])
             .expect("sharded component_size: shard service failed")[0]
         {
-            None => return local_size(),
             Some(node) => node,
+            None => {
+                return self.shards[s]
+                    .conn()
+                    .inspect(move |b| b.component_size(local))
+                    .expect("sharded component_size: shard service failed")
+            }
         };
         // v's global component is the disjoint union of the local
-        // components of every boundary node reachable from v's node.
-        let graph = cache.graph.as_ref().expect("a node implies a graph");
-        let probes: Vec<(u32, u32)> = (0..cache.nodes as u32).map(|m| (node, m)).collect();
-        let reachable = graph.batch_connected(&probes);
+        // components of every boundary node sharing v's node's label.
+        let label = cache.labels[node as usize];
         let mut total = 0u64;
         for (s2, shard) in self.shards.iter().enumerate() {
-            let members: Vec<u32> = cache.reps[s2]
+            let offset = cache.offsets[s2];
+            let members: Vec<u32> = cache.shards[s2]
+                .reps
                 .iter()
                 .enumerate()
-                .filter(|&(pos, _)| reachable[cache.offsets[s2] + pos])
+                .filter(|&(pos, _)| cache.labels[offset + pos] == label)
                 .map(|(_, &rep)| rep)
                 .collect();
             if members.is_empty() {

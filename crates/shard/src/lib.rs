@@ -23,13 +23,15 @@
 //! > component containing a cross-edge endpoint) whose nodes are
 //! > connected in the contraction of the cross-edge set.
 //!
-//! The boundary graph is a second, tiny
-//! [`BatchDynamic`](dyncon_api::BatchDynamic) instance —
-//! built with the same [`Builder`](dyncon_api::Builder) as the shards —
-//! whose vertices are per-shard boundary-component labels and whose
-//! edges are the cross edges contracted through those labels. It is
-//! rebuilt lazily, only after a mutation segment actually changed some
-//! edge set, and global aggregates fall out of it directly:
+//! The boundary graph's vertices are the per-shard boundary components,
+//! found by labelling cross-edge endpoints with
+//! [`Connectivity::component_ids`](dyncon_api::Connectivity::component_ids),
+//! and its edges are the cross edges contracted through those labels.
+//! It is kept as a static min-label union-find array
+//! ([`min_labels`](dyncon_api::min_labels)), brought up to date lazily
+//! and per source: only shards whose edge set changed are re-labelled,
+//! and the cross-edge set is mirrored from the committed cross
+//! sub-rounds. Global aggregates fall out of it directly:
 //! `components = Σ local components − (boundary nodes − boundary
 //! components)`.
 //!
@@ -40,7 +42,7 @@
 //! `(num_vertices, shards, kind)`, decomposition preserves op order per
 //! shard, shard servers always run in deterministic mode with the
 //! coordinator as sole client (one sealed round per sub-batch), and the
-//! boundary graph is built in canonical (sorted cross-edge) order. With
+//! boundary graph is a pure function of the edge sets. With
 //! deterministic mode on the outer server too
 //! ([`ShardConfig::server`] with
 //! [`ServerConfig::deterministic`](dyncon_server::ServerConfig::deterministic)),

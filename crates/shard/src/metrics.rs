@@ -18,7 +18,7 @@ pub struct ShardMetrics {
     /// `dyncon_shard_decompose_ns` — wall time to split one mutation
     /// segment into per-shard sub-batches plus the cross-shard batch.
     pub decompose_ns: Arc<Histogram>,
-    /// `dyncon_shard_boundary_ops` — contracted edges inserted into the
+    /// `dyncon_shard_boundary_ops` — cross edges contracted into the
     /// boundary graph per rebuild (the size of the recombination work).
     pub boundary_ops: Arc<Histogram>,
     /// `dyncon_shard_cross_queries` — queries per query run that local
@@ -45,7 +45,7 @@ impl ShardMetrics {
             boundary_ops: registry.histogram(
                 "dyncon_shard_boundary_ops",
                 "ops",
-                "contracted edges inserted per boundary-graph rebuild",
+                "cross edges contracted per boundary-graph rebuild",
             ),
             cross_queries: registry.histogram(
                 "dyncon_shard_cross_queries",

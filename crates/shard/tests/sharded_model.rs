@@ -184,3 +184,109 @@ fn query_runs_observe_exactly_the_preceding_mutations() {
     assert_eq!(result.answers, vec![true, false, true]);
     sut.shutdown().expect("clean shutdown");
 }
+
+/// Per-source invalidation of the boundary contraction: rounds that change
+/// only shard 0, only shard 1, only the cross store, or nothing at all
+/// (duplicate inserts and absent deletes), each followed by cross queries,
+/// `num_components` and `component_size` on every vertex — all against the
+/// oracle. A round that changes nothing must not rebuild the boundary.
+#[test]
+fn per_source_invalidation_matches_the_oracle() {
+    let n = 32u32;
+    for shards in [2usize, 4] {
+        let mut sut = sharded(n as usize, shards, ShardMapKind::Hash);
+        let mut oracle = NaiveDynamicGraph::new(n as usize);
+        let map = sut.shard_map().clone();
+        let pairs = |keep: &dyn Fn(u32, u32) -> bool| -> Vec<(u32, u32)> {
+            (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|&(u, v)| keep(u, v))
+                .collect()
+        };
+        let within = |s: usize| pairs(&|u, v| map.shard_of(u) == s && map.shard_of(v) == s);
+        let sources = [within(0), within(1), pairs(&|u, v| map.is_cross(u, v))];
+        let cross_probes = pairs(&|u, v| map.is_cross(u, v));
+        let rng = SplitMix64::new(0x5A1E ^ shards as u64);
+        let mut at = 0u64;
+        let mut next = |bound: usize| {
+            at += 1;
+            (rng.at(at) % bound as u64) as usize
+        };
+        for step in 0..64 {
+            let kind = step % 4;
+            let batch: Vec<Op> = if kind < 3 {
+                // Mostly inserts early on, so components grow across
+                // shards before deletes start splitting them.
+                let pool = &sources[kind];
+                (0..6)
+                    .map(|_| {
+                        let (u, v) = pool[next(pool.len())];
+                        if next(10) < 7 {
+                            Op::Insert(u, v)
+                        } else {
+                            Op::Delete(u, v)
+                        }
+                    })
+                    .collect()
+            } else {
+                // Nothing changes: re-insert present edges, delete absent ones.
+                let present = oracle.export_edges();
+                let mut ops: Vec<Op> = present
+                    .iter()
+                    .take(4)
+                    .map(|&(u, v)| Op::Insert(v, u))
+                    .collect();
+                ops.extend(
+                    cross_probes
+                        .iter()
+                        .filter(|&&(u, v)| !oracle.has_edge(u, v))
+                        .take(4)
+                        .map(|&(u, v)| Op::Delete(u, v)),
+                );
+                ops
+            };
+            let got = sut.apply(&batch).expect("sharded apply");
+            let want = oracle.apply(&batch).expect("oracle apply");
+            assert_eq!(got, want, "step {step} ({shards} shards): mutation counts");
+            if kind == 3 {
+                assert_eq!(
+                    (got.inserted, got.deleted),
+                    (0, 0),
+                    "step {step}: a no-op round"
+                );
+            }
+            let rebuilds_before = sut.metrics().boundary_rebuilds.get();
+            let queries: Vec<Op> = (0..24)
+                .map(|_| {
+                    let (u, v) = cross_probes[next(cross_probes.len())];
+                    Op::Query(u, v)
+                })
+                .collect();
+            assert_eq!(
+                sut.apply(&queries).expect("sharded queries"),
+                oracle.apply(&queries).expect("oracle queries"),
+                "step {step} ({shards} shards): cross queries"
+            );
+            assert_eq!(
+                sut.num_components(),
+                oracle.num_components(),
+                "step {step} ({shards} shards): num_components"
+            );
+            for v in 0..n {
+                assert_eq!(
+                    sut.component_size(v),
+                    Connectivity::component_size(&oracle, v),
+                    "step {step} ({shards} shards): component_size({v})"
+                );
+            }
+            if kind == 3 {
+                assert_eq!(
+                    sut.metrics().boundary_rebuilds.get(),
+                    rebuilds_before,
+                    "step {step}: a round that changed nothing rebuilt the boundary"
+                );
+            }
+        }
+        sut.shutdown().expect("clean shutdown");
+    }
+}

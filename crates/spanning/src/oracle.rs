@@ -147,6 +147,11 @@ impl Connectivity for NaiveDynamicGraph {
     fn component_size(&self, v: u32) -> u64 {
         NaiveDynamicGraph::component_size(self, v) as u64
     }
+
+    fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        // DSU roots: stable until a mutation drops the cache.
+        self.with_dsu(|dsu| vertices.iter().map(|&v| u64::from(dsu.find(v))).collect())
+    }
 }
 
 impl BatchDynamic for NaiveDynamicGraph {

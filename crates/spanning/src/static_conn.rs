@@ -189,6 +189,15 @@ impl Connectivity for StaticRecompute {
             labels.iter().filter(|&&l| l == mine).count() as u64
         })
     }
+
+    fn component_ids(&self, vertices: &[u32]) -> Vec<u64> {
+        self.with_labels(|labels| {
+            vertices
+                .iter()
+                .map(|&v| u64::from(labels[v as usize]))
+                .collect()
+        })
+    }
 }
 
 impl BatchDynamic for StaticRecompute {

@@ -461,3 +461,116 @@ proptest! {
         }
     }
 }
+
+/// The read side without a `component_ids` override: it answers through
+/// the trait's query-based default.
+struct QueryOnly<'a>(&'a NaiveDynamicGraph);
+
+impl dyncon_api::Connectivity for QueryOnly<'_> {
+    fn backend_name(&self) -> &'static str {
+        "trait-default"
+    }
+    fn num_vertices(&self) -> usize {
+        dyncon_api::Connectivity::num_vertices(self.0)
+    }
+    fn connected(&self, u: u32, v: u32) -> bool {
+        self.0.connected(u, v)
+    }
+    fn batch_connected(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
+        self.0.batch_connected(pairs)
+    }
+    fn num_components(&self) -> usize {
+        self.0.num_components()
+    }
+    fn component_size(&self, v: u32) -> u64 {
+        dyncon_api::Connectivity::component_size(self.0, v)
+    }
+}
+
+/// `component_groups` as it was before `component_ids` existed: one
+/// `batch_connected` call per distinct component, first vertex in input
+/// order as the label. The byte-for-byte reference for the rewrite.
+fn query_grouping(g: &dyn dyncon_api::Connectivity, vertices: &[u32]) -> Vec<u32> {
+    let mut rep = vec![0u32; vertices.len()];
+    let mut pending: Vec<usize> = (0..vertices.len()).collect();
+    while let Some((&lead, rest)) = pending.split_first() {
+        let r = vertices[lead];
+        rep[lead] = r;
+        let pairs: Vec<(u32, u32)> = rest.iter().map(|&i| (r, vertices[i])).collect();
+        let mut next = Vec::new();
+        for (&i, same) in rest.iter().zip(g.batch_connected(&pairs)) {
+            if same {
+                rep[i] = r;
+            } else {
+                next.push(i);
+            }
+        }
+        pending = next;
+    }
+    rep
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `component_ids` on every backend that has one — the core (both
+    /// deletion algorithms), HDT, the oracle, static recompute, a
+    /// `ReadView` of the oracle's edge set and the trait default — over
+    /// random mixed-op histories: after every batch, two probed vertices
+    /// get equal ids iff the oracle says they are connected, ids are
+    /// stable between two calls with no mutation in between, and
+    /// `component_groups` is byte-identical to the old query grouping.
+    #[test]
+    fn component_ids_agree_with_the_oracle_on_every_backend(
+        batches in prop::collection::vec(
+            prop::collection::vec(op_strategy(), 1..16),
+            1..12,
+        ),
+        probe in prop::collection::vec(0..N, 0..(2 * N as usize)),
+    ) {
+        use dyncon_api::{component_groups, Connectivity, ExportEdges, ReadView};
+        let mut panel = panel(N as usize);
+        let mut oracle = Builder::new(N as usize).build::<NaiveDynamicGraph>().unwrap();
+        let mut reversed = probe.clone();
+        reversed.reverse();
+        for ops in &batches {
+            oracle.apply(ops).unwrap();
+            for g in panel.iter_mut() {
+                g.apply(ops).unwrap();
+            }
+            let view = ReadView::build(N as usize, 0, oracle.export_edges());
+            let default = QueryOnly(&oracle);
+            let mut readers: Vec<&dyn Connectivity> =
+                panel.iter().map(|g| g.as_ref() as &dyn Connectivity).collect();
+            readers.push(&view);
+            readers.push(&default);
+            let want_groups = query_grouping(&oracle, &probe);
+            for g in readers {
+                let name = g.backend_name();
+                let ids = g.component_ids(&probe);
+                prop_assert_eq!(ids.len(), probe.len());
+                for (i, &u) in probe.iter().enumerate() {
+                    for (j, &v) in probe.iter().enumerate() {
+                        prop_assert_eq!(
+                            ids[i] == ids[j],
+                            oracle.connected(u, v),
+                            "{}: ids of {} and {}",
+                            name,
+                            u,
+                            v
+                        );
+                    }
+                }
+                let mut again = g.component_ids(&reversed);
+                again.reverse();
+                prop_assert_eq!(&again, &ids, "{}: ids moved between calls", name);
+                prop_assert_eq!(
+                    &component_groups(g, &probe),
+                    &want_groups,
+                    "{}: component_groups",
+                    name
+                );
+            }
+        }
+    }
+}
