@@ -65,7 +65,7 @@ mod view;
 pub use builder::{BuildFrom, Builder, DeletionAlgorithm, MAX_VERTICES};
 pub use error::DynConError;
 pub use op::{decode_ops, encode_ops, BatchResult, Op, OpKind};
-pub use view::{empty_window_error, ReadView, Version, VersionedRead, EMPTY_WINDOW};
+pub use view::{empty_window_error, ReadView, Relabel, Version, VersionedRead, EMPTY_WINDOW};
 
 use std::collections::HashMap;
 
@@ -268,6 +268,14 @@ pub fn component_groups<C: Connectivity + ?Sized>(g: &C, vertices: &[u32]) -> Ve
 /// Cost: `O(n + m α(n))`. [`ReadView::build`] labels a snapshot with it,
 /// and a shard coordinator contracts its boundary with it.
 pub fn min_labels(num_vertices: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+    let mut labels = Vec::new();
+    min_labels_into(&mut labels, num_vertices, edges);
+    labels
+}
+
+/// [`min_labels`] into `labels`, reusing its allocation (a
+/// [`ReadView::advance`] that recycles an evicted view's buffers).
+pub(crate) fn min_labels_into(labels: &mut Vec<u32>, num_vertices: usize, edges: &[(u32, u32)]) {
     fn find(parent: &mut [u32], mut v: u32) -> u32 {
         while parent[v as usize] != v {
             let grand = parent[parent[v as usize] as usize];
@@ -276,10 +284,12 @@ pub fn min_labels(num_vertices: usize, edges: &[(u32, u32)]) -> Vec<u32> {
         }
         v
     }
-    let mut parent: Vec<u32> = (0..num_vertices as u32).collect();
+    let parent = labels;
+    parent.clear();
+    parent.extend(0..num_vertices as u32);
     for &(u, v) in edges {
         debug_assert!((u as usize) < num_vertices && (v as usize) < num_vertices);
-        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+        let (ru, rv) = (find(parent, u), find(parent, v));
         if ru != rv {
             parent[ru.max(rv) as usize] = ru.min(rv);
         }
@@ -287,10 +297,9 @@ pub fn min_labels(num_vertices: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     // Ascending order flattens every path: a root is smaller than its
     // members, so `parent[root]` is final before any member asks.
     for v in 0..num_vertices as u32 {
-        let root = find(&mut parent, v);
+        let root = find(parent, v);
         parent[v as usize] = root;
     }
-    parent
 }
 
 /// Reject an out-of-range vertex id with a typed error.

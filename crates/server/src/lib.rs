@@ -63,7 +63,10 @@
 //! `first_version`, so versions are stable across process lifetimes) and
 //! publishes an immutable [`ReadView`] of the post-round state —
 //! retained for the last [`ServerConfig::retain_views`] versions (0, the
-//! default, publishes nothing).
+//! default, publishes nothing). Each view after the first is the
+//! previous one advanced by the round's ops
+//! ([`ReadView::advance`](dyncon_api::ReadView::advance)), not a
+//! re-export of the whole graph.
 //! [`ConnServer::read_view`] / [`ConnServer::read_view_at`] (via the
 //! [`VersionedRead`] trait) hand out views without ever blocking the
 //! writer; versions outside the window fail with the typed

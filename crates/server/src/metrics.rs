@@ -53,10 +53,16 @@ pub struct ServerMetrics {
     /// high-water mark is the effective window size).
     pub snapshot_retained: Arc<Gauge>,
     /// `dyncon_server_snapshot_publish_ns` — wall time the writer spends
-    /// exporting + labeling one round's snapshot (the per-round cost of
-    /// enabling versioned reads; it is paid whether or not any reader
+    /// deriving and retaining one round's snapshot (the per-round cost
+    /// of enabling versioned reads; it is paid whether or not any reader
     /// ever asks).
     pub snapshot_publish_ns: Arc<Histogram>,
+    /// `dyncon_server_snapshot_rebuilds_total` — publications that
+    /// labelled the whole graph: the first view (at start or recovery)
+    /// and rounds whose deletions split a component. Every other round
+    /// advances the previous view by its delta; the share of rounds
+    /// counted here is what publishing falls back on.
+    pub snapshot_rebuilds: Arc<Counter>,
 }
 
 impl ServerMetrics {
@@ -122,6 +128,11 @@ impl ServerMetrics {
                 "dyncon_server_snapshot_publish_ns",
                 "ns",
                 "writer wall time publishing one round's read-view snapshot",
+            ),
+            snapshot_rebuilds: registry.counter(
+                "dyncon_server_snapshot_rebuilds_total",
+                "views",
+                "read-view publications that relabelled the whole graph (first view, or a round that split a component)",
             ),
         })
     }

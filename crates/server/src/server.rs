@@ -7,7 +7,7 @@ use crate::ticket::{RequestResult, Slot, Ticket};
 use crate::views::{ReadHandle, ReaderPool, ViewStore};
 use dyncon_api::{
     validate_vertex, BatchDynamic, BatchResult, DynConError, ExportEdges, Op, OpKind, ReadView,
-    Version, VersionedRead,
+    Relabel, Version, VersionedRead,
 };
 use dyncon_metrics::{MetricsSnapshot, Registry};
 use dyncon_trace::{traced, RoundTrace, Stage};
@@ -45,21 +45,53 @@ type EdgeExtract<B> = Arc<dyn Fn(&B) -> Vec<(u32, u32)> + Send + Sync>;
 struct ViewPublisher<B> {
     extract: EdgeExtract<B>,
     store: Arc<ViewStore>,
+    /// The view the last publication evicted, kept for its buffers.
+    spare: Option<ReadView>,
 }
 
-/// Export the backend's edges, label them, and retain the result as the
-/// [`ReadView`] of `version`, recording the publish-cost metrics.
-fn publish_view<B>(
-    publisher: &ViewPublisher<B>,
+/// Publish the [`ReadView`] of `version`, recording the publish-cost
+/// metrics. With the round that produced `version` (its ops and result)
+/// and a retained view of the version before it, the new view is that
+/// view advanced by the round ([`ReadView::advance`]); otherwise (the
+/// first view) it is built from a full export. Debug builds check every
+/// advanced view against the full build.
+fn publish_view<B: BatchDynamic>(
+    publisher: &mut ViewPublisher<B>,
     backend: &B,
-    num_vertices: usize,
     version: Version,
+    round: Option<(&[Op], &BatchResult)>,
     metrics: &ServerMetrics,
 ) {
     let started = Instant::now();
-    let edges = (publisher.extract)(backend);
-    let view = ReadView::build(num_vertices, version, edges);
-    let retained = publisher.store.publish(view);
+    let build = |publisher: &ViewPublisher<B>| {
+        ReadView::build(
+            backend.num_vertices(),
+            version,
+            (publisher.extract)(backend),
+        )
+    };
+    let prev = publisher.store.get_newest().ok();
+    let view = match (prev, round) {
+        (Some(prev), Some((ops, result))) => {
+            let (view, relabel) =
+                prev.advance(version, ops, result, backend, publisher.spare.take());
+            if relabel == Relabel::Rebuild {
+                metrics.snapshot_rebuilds.inc();
+            }
+            debug_assert_eq!(
+                view,
+                build(publisher),
+                "advanced view differs from a full build"
+            );
+            view
+        }
+        _ => {
+            metrics.snapshot_rebuilds.inc();
+            build(publisher)
+        }
+    };
+    let (retained, evicted) = publisher.store.publish(view);
+    publisher.spare = evicted;
     metrics.snapshot_retained.set(retained as i64);
     metrics
         .snapshot_publish_ns
@@ -241,25 +273,20 @@ impl<B: BatchDynamic + Send + 'static> ConnServer<B> {
             metrics,
         });
         let publisher = extract.filter(|_| config.retain_views > 0).map(|extract| {
-            let store = Arc::new(ViewStore::new(config.retain_views));
+            let mut publisher = ViewPublisher {
+                extract,
+                store: Arc::new(ViewStore::new(config.retain_views)),
+                spare: None,
+            };
             // Publish the starting state (the recovered version
             // `first_version - 1` on a durable stack) on the caller's
             // thread, so `read_view` works before the first local round.
             // A truly fresh server (first_version 0) has no committed
             // version yet — its window stays empty until round 0 seals.
             if let Some(version) = config.first_version.checked_sub(1) {
-                publish_view(
-                    &ViewPublisher {
-                        extract: Arc::clone(&extract),
-                        store: Arc::clone(&store),
-                    },
-                    &backend,
-                    num_vertices,
-                    version,
-                    &shared.metrics,
-                );
+                publish_view(&mut publisher, &backend, version, None, &shared.metrics);
             }
-            ViewPublisher { extract, store }
+            publisher
         });
         let views = publisher.as_ref().map(|p| Arc::clone(&p.store));
         let readers = match config.reader_threads {
@@ -629,9 +656,8 @@ impl<B: BatchDynamic + Send + 'static> ConnServer<B> {
 
 impl<B: BatchDynamic + ExportEdges + Send + 'static> ConnServer<B> {
     /// [`ConnServer::start`], with MVCC versioned reads enabled: after
-    /// every committed round the writer exports the backend's canonical
-    /// edge list ([`ExportEdges`]) and publishes it as the [`ReadView`]
-    /// of that round's [`Version`], retained for the last
+    /// every committed round the writer publishes the [`ReadView`] of
+    /// that round's [`Version`], retained for the last
     /// [`ServerConfig::retain_views`] versions. With `retain_views` 0
     /// (the default) nothing is published: the server behaves as one
     /// from [`ConnServer::start`], so a wrapper can always start here
@@ -639,9 +665,17 @@ impl<B: BatchDynamic + ExportEdges + Send + 'static> ConnServer<B> {
     ///
     /// Readers ([`ConnServer::read_view`], [`ConnServer::read_view_at`],
     /// [`ConnServer::read_async`]) clone retained views out from under a
-    /// constant-time lock and never block the writer; the writer's only
-    /// extra cost is the per-round export + label pass
-    /// (`dyncon_server_snapshot_publish_ns`).
+    /// constant-time lock and never block the writer. The writer's extra
+    /// cost is the publication (`dyncon_server_snapshot_publish_ns`):
+    /// the first view is built from the backend's canonical edge export
+    /// ([`ExportEdges`]); every later one is the previous view advanced
+    /// by the round's ops ([`ReadView::advance`]) — a copy of the edge
+    /// array (and of the labels if components merged) plus work for the
+    /// edges the round changed, and a full relabel only when a deletion
+    /// split a component
+    /// (`dyncon_server_snapshot_rebuilds_total` counts those and the
+    /// first view). The evicted view's buffers are reused when no reader
+    /// still holds it.
     ///
     /// When [`ServerConfig::first_version`] > 0 (a durable stack passing
     /// its recovered WAL round id), the starting state is published
@@ -764,9 +798,8 @@ fn writer_loop<B: BatchDynamic + 'static>(
     mut backend: B,
     shared: Arc<Shared>,
     config: ServerConfig,
-    publisher: Option<ViewPublisher<B>>,
+    mut publisher: Option<ViewPublisher<B>>,
 ) -> (B, Vec<RoundRecord>) {
-    let num_vertices = backend.num_vertices();
     let pool = config.worker_threads.map(|t| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(t)
@@ -940,11 +973,19 @@ fn writer_loop<B: BatchDynamic + 'static>(
                 let version = config.first_version + round_no;
                 // Publish BEFORE resolving tickets: a client that saw its
                 // ticket commit as `version` must find `read_view_at(version)`
-                // already there.
-                if let Some(publisher) = &publisher {
-                    traced(config.trace.as_ref(), round_no, Stage::Publish, 0, || {
-                        publish_view(publisher, &backend, num_vertices, version, &shared.metrics)
-                    });
+                // already there. Like apply, a panicking publication (the
+                // debug check against a full build) must not strand clients.
+                if let Some(publisher) = &mut publisher {
+                    let published = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        traced(config.trace.as_ref(), round_no, Stage::Publish, 0, || {
+                            let round = Some((ops.as_slice(), &result));
+                            publish_view(publisher, &backend, version, round, &shared.metrics)
+                        })
+                    }));
+                    if let Err(panic) = published {
+                        fail_all_pending(&shared, &round);
+                        std::panic::resume_unwind(panic);
+                    }
                 }
                 shared.rounds_committed.fetch_add(1, Ordering::Relaxed);
                 shared
@@ -1299,6 +1340,30 @@ mod tests {
         // …and the writer's panic resurfaces at join.
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.join()));
         assert!(joined.is_err(), "join must surface the backend panic");
+    }
+
+    /// The view publication's full build exports the edge set; a bomb's
+    /// export detonates.
+    impl ExportEdges for Bomb {
+        fn export_edges(&self) -> Vec<(u32, u32)> {
+            panic!("bomb export detonated");
+        }
+    }
+
+    #[test]
+    fn publish_panic_resolves_the_round_ticket() {
+        let bomb = Bomb {
+            inner: BatchDynamicConnectivity::new(8),
+            rounds_left: usize::MAX,
+        };
+        let config = ServerConfig::new().deterministic(true).retain_views(2);
+        let s = ConnServer::start_versioned(bomb, config);
+        // Round 0's view is the first, built from a (detonating) export.
+        let t = s.submit_with(vec![Op::Insert(0, 1)], client(0)).unwrap();
+        s.seal_round();
+        assert_eq!(t.wait().unwrap_err(), DynConError::ServiceClosed);
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.join()));
+        assert!(joined.is_err(), "join must surface the publish panic");
     }
 
     #[test]

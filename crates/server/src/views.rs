@@ -38,18 +38,21 @@ impl ViewStore {
     /// Publish the view of a freshly committed version (the writer's
     /// side). Versions must arrive in order, each exactly one past the
     /// previous `newest`. Returns the number of versions now retained
-    /// (for the `snapshot_retained` gauge).
-    pub(crate) fn publish(&self, view: ReadView) -> usize {
+    /// (for the `snapshot_retained` gauge) and the view this evicted, if
+    /// any, whose buffers the writer may recycle
+    /// ([`ReadView::advance`]'s `spare`).
+    pub(crate) fn publish(&self, view: ReadView) -> (usize, Option<ReadView>) {
         let mut w = self.window.lock().unwrap();
         debug_assert!(
             w.back().map_or(true, |b| b.version() + 1 == view.version()),
             "views are published in version order"
         );
         w.push_back(view);
+        let mut evicted = None;
         while w.len() > self.retain {
-            w.pop_front();
+            evicted = w.pop_front();
         }
-        w.len()
+        (w.len(), evicted)
     }
 
     /// The retained `[oldest, newest]` range, or `None` when empty.
@@ -214,9 +217,13 @@ mod tests {
         let store = ViewStore::new(2);
         assert_eq!(store.bounds(), None);
         assert_eq!(store.get_newest().unwrap_err(), empty_window_error(0));
-        assert_eq!(store.publish(view(0)), 1);
-        assert_eq!(store.publish(view(1)), 2);
-        assert_eq!(store.publish(view(2)), 2, "bounded at retain=2");
+        assert_eq!(store.publish(view(0)), (1, None));
+        assert_eq!(store.publish(view(1)), (2, None));
+        assert_eq!(
+            store.publish(view(2)),
+            (2, Some(view(0))),
+            "bounded at retain=2, handing back the evicted view"
+        );
         assert_eq!(store.bounds(), Some((1, 2)));
         let (v1, age) = store.get_at(1).unwrap();
         assert_eq!((v1.version(), age), (1, 1));

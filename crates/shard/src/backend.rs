@@ -92,6 +92,13 @@ struct ShardBoundary {
     /// False once a sub-round changed this shard's edge set: the cached
     /// component ids below are then void.
     fresh: bool,
+    /// This shard's cross-edge endpoints as `(local id, cross edges at
+    /// it)`, ascending local ids: kept up to date edge by edge while the
+    /// cross edges are mirrored, recounted only when they are exported.
+    endpoints: Vec<(u32, u32)>,
+    /// False once an endpoint appeared or lost its last cross edge since
+    /// the last rebuild: `reps` and `node_of_local` are then stale.
+    endpoints_fresh: bool,
     /// Component id of every current cross-edge endpoint (local id).
     /// Ids stay valid while `fresh` ([`Connectivity::component_ids`]'s
     /// stability contract).
@@ -135,10 +142,6 @@ struct BoundaryCache {
     /// exported once, then kept up to date by replaying each committed
     /// cross sub-round ([`BoundaryCache::mirror_cross`]).
     cross_edges: FxHashSet<(u32, u32)>,
-    /// False once `cross_edges` changed since `endpoints` was derived.
-    endpoints_fresh: bool,
-    /// Per shard: its distinct cross-edge endpoints, ascending local ids.
-    endpoints: Vec<Vec<u32>>,
     shards: Vec<ShardBoundary>,
     /// Node id of `shards[s].reps[0]` (shard-major prefix sums).
     offsets: Vec<usize>,
@@ -148,14 +151,33 @@ struct BoundaryCache {
     labels: Vec<u32>,
 }
 
+impl ShardBoundary {
+    /// One cross edge at `local` was added (`insert`) or removed.
+    fn count_endpoint(&mut self, local: u32, insert: bool) {
+        match self.endpoints.binary_search_by_key(&local, |&(e, _)| e) {
+            Ok(i) if insert => self.endpoints[i].1 += 1,
+            Ok(i) => {
+                self.endpoints[i].1 -= 1;
+                if self.endpoints[i].1 == 0 {
+                    self.endpoints.remove(i);
+                    self.endpoints_fresh = false;
+                }
+            }
+            Err(i) => {
+                debug_assert!(insert, "a removed cross edge was mirrored");
+                self.endpoints.insert(i, (local, 1));
+                self.endpoints_fresh = false;
+            }
+        }
+    }
+}
+
 impl BoundaryCache {
     fn stale(shards: usize) -> Self {
         Self {
             fresh: false,
             cross_fresh: false,
             cross_edges: FxHashSet::default(),
-            endpoints_fresh: false,
-            endpoints: vec![Vec::new(); shards],
             shards: (0..shards).map(|_| ShardBoundary::default()).collect(),
             offsets: vec![0; shards],
             labels: Vec::new(),
@@ -166,10 +188,10 @@ impl BoundaryCache {
     /// store has set semantics (duplicate inserts and absent deletes are
     /// ignored), so the same ops in the same order give the same edge
     /// set; counts that disagree with the store's `inserted`/`deleted`
-    /// void the mirror, and the next rebuild re-exports.
-    fn mirror_cross(&mut self, ops: &[Op], inserted: usize, deleted: usize) {
+    /// void the mirror, and the next rebuild re-exports. Each edge the
+    /// replay adds or removes also updates its endpoints' counts.
+    fn mirror_cross(&mut self, map: &ShardMap, ops: &[Op], inserted: usize, deleted: usize) {
         self.fresh = false;
-        self.endpoints_fresh = false;
         if !self.cross_fresh {
             return;
         }
@@ -177,13 +199,43 @@ impl BoundaryCache {
         for &op in ops {
             let (u, v) = op.endpoints();
             let edge = (u.min(v), u.max(v));
-            match op {
-                Op::Insert(..) => ins += usize::from(self.cross_edges.insert(edge)),
-                Op::Delete(..) => del += usize::from(self.cross_edges.remove(&edge)),
-                Op::Query(..) => {}
+            let changed = match op {
+                Op::Insert(..) => self.cross_edges.insert(edge),
+                Op::Delete(..) => self.cross_edges.remove(&edge),
+                Op::Query(..) => false,
+            };
+            if changed {
+                let insert = matches!(op, Op::Insert(..));
+                ins += usize::from(insert);
+                del += usize::from(!insert);
+                for g in [u, v] {
+                    self.shards[map.shard_of(g)].count_endpoint(map.local_of(g), insert);
+                }
             }
         }
         self.cross_fresh = (ins, del) == (inserted, deleted);
+    }
+
+    /// Recount every shard's endpoints from the whole mirror (after an
+    /// export).
+    fn recount_endpoints(&mut self, map: &ShardMap) {
+        let mut locals: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        for &(u, v) in &self.cross_edges {
+            for g in [u, v] {
+                locals[map.shard_of(g)].push(map.local_of(g));
+            }
+        }
+        for (shard, mut locals) in self.shards.iter_mut().zip(locals) {
+            locals.sort_unstable();
+            shard.endpoints.clear();
+            for local in locals {
+                match shard.endpoints.last_mut() {
+                    Some((last, count)) if *last == local => *count += 1,
+                    _ => shard.endpoints.push((local, 1)),
+                }
+            }
+            shard.endpoints_fresh = false;
+        }
     }
 
     /// Void every source.
@@ -479,7 +531,9 @@ where
                         cache.fresh = false;
                         cache.shards[s as usize].fresh = false;
                     }
-                    None => cache.mirror_cross(&cross_ops, result.inserted, result.deleted),
+                    None => {
+                        cache.mirror_cross(&self.map, &cross_ops, result.inserted, result.deleted)
+                    }
                 }
             }
             inserted += result.inserted;
@@ -510,39 +564,27 @@ where
                 .into_iter()
                 .collect();
             cache.cross_fresh = true;
-            cache.endpoints_fresh = false;
+            cache.recount_endpoints(&self.map);
         }
-        let endpoints_changed = !cache.endpoints_fresh;
-        if endpoints_changed {
-            // Distinct cross-edge endpoints per shard, ascending local ids.
-            for eps in &mut cache.endpoints {
-                eps.clear();
-            }
-            for &(u, v) in &cache.cross_edges {
-                cache.endpoints[self.map.shard_of(u)].push(self.map.local_of(u));
-                cache.endpoints[self.map.shard_of(v)].push(self.map.local_of(v));
-            }
-            for eps in &mut cache.endpoints {
-                eps.sort_unstable();
-                eps.dedup();
-            }
-        }
-        for (s, (shard, eps)) in cache.shards.iter_mut().zip(&cache.endpoints).enumerate() {
-            if shard.fresh && !endpoints_changed {
+        for (s, shard) in cache.shards.iter_mut().enumerate() {
+            if shard.fresh && shard.endpoints_fresh {
                 continue;
             }
             // Ask only for ids the shard cannot vouch for: all of them
             // after it changed, otherwise the endpoints new since the last
             // rebuild.
+            let eps = &shard.endpoints;
             let unlabelled: Vec<u32> = if shard.fresh {
-                shard.ids.retain(|e, _| eps.binary_search(e).is_ok());
+                shard
+                    .ids
+                    .retain(|e, _| eps.binary_search_by_key(e, |&(l, _)| l).is_ok());
                 eps.iter()
-                    .copied()
+                    .map(|&(e, _)| e)
                     .filter(|e| !shard.ids.contains_key(e))
                     .collect()
             } else {
                 shard.ids.clear();
-                eps.clone()
+                eps.iter().map(|&(e, _)| e).collect()
             };
             if !unlabelled.is_empty() {
                 let ids = self.shards[s].conn().inspect({
@@ -557,7 +599,7 @@ where
             shard.reps.clear();
             shard.node_of_id.clear();
             shard.node_of_local.resize(self.map.shard_size(s), 0);
-            for &e in eps {
+            for &(e, _) in &shard.endpoints {
                 let next = shard.reps.len() as u32;
                 let pos = *shard.node_of_id.entry(shard.ids[&e]).or_insert(next);
                 if pos == next {
@@ -565,10 +607,10 @@ where
                 }
                 shard.node_of_local[e as usize] = pos;
             }
+            // Only now: a lookup that failed above leaves this shard's
+            // endpoints marked changed, so the next rebuild revisits it.
+            shard.endpoints_fresh = true;
         }
-        // Only now: a lookup that failed above leaves the endpoints marked
-        // changed, so the next rebuild revisits every shard.
-        cache.endpoints_fresh = true;
         let mut nodes = 0usize;
         for (offset, shard) in cache.offsets.iter_mut().zip(&cache.shards) {
             *offset = nodes;

@@ -190,6 +190,8 @@ fn query_runs_observe_exactly_the_preceding_mutations() {
 /// (duplicate inserts and absent deletes), each followed by cross queries,
 /// `num_components` and `component_size` on every vertex — all against the
 /// oracle. A round that changes nothing must not rebuild the boundary.
+/// Then cross deletes that take a vertex's last cross edge away, so it
+/// stops being a boundary endpoint.
 #[test]
 fn per_source_invalidation_matches_the_oracle() {
     let n = 32u32;
@@ -287,6 +289,55 @@ fn per_source_invalidation_matches_the_oracle() {
                 );
             }
         }
+        // An endpoint losing its last cross edge: strip the vertex with
+        // the most cross edges down to one, then to none, then give it
+        // one back and take it away again within later rounds.
+        let cross_at = |oracle: &NaiveDynamicGraph, a: u32| -> Vec<(u32, u32)> {
+            oracle
+                .export_edges()
+                .into_iter()
+                .filter(|&(u, v)| map.is_cross(u, v) && (u == a || v == a))
+                .collect()
+        };
+        let a = (0..n)
+            .max_by_key(|&a| cross_at(&oracle, a).len())
+            .expect("n > 0");
+        let held = cross_at(&oracle, a);
+        assert!(!held.is_empty(), "{shards} shards: no cross edges left");
+        let partner = cross_probes
+            .iter()
+            .find(|&&(u, v)| (u == a || v == a) && !oracle.has_edge(u, v))
+            .copied()
+            .expect("a cross pair to re-add");
+        let rounds: Vec<Vec<Op>> = vec![
+            held[1..].iter().map(|&(u, v)| Op::Delete(u, v)).collect(),
+            vec![Op::Delete(held[0].1, held[0].0)],
+            vec![Op::Insert(partner.0, partner.1)],
+            vec![Op::Delete(partner.1, partner.0)],
+        ];
+        for (i, batch) in rounds.iter().enumerate() {
+            let got = sut.apply(batch).expect("sharded apply");
+            assert_eq!(
+                got,
+                oracle.apply(batch).expect("oracle apply"),
+                "last-edge round {i} ({shards} shards): mutation counts"
+            );
+            let queries: Vec<Op> = cross_probes.iter().map(|&(u, v)| Op::Query(u, v)).collect();
+            assert_eq!(
+                sut.apply(&queries).expect("sharded queries"),
+                oracle.apply(&queries).expect("oracle queries"),
+                "last-edge round {i} ({shards} shards): cross queries"
+            );
+            assert_eq!(sut.num_components(), oracle.num_components());
+            for v in 0..n {
+                assert_eq!(
+                    sut.component_size(v),
+                    Connectivity::component_size(&oracle, v),
+                    "last-edge round {i} ({shards} shards): component_size({v})"
+                );
+            }
+        }
+        assert!(cross_at(&oracle, a).is_empty());
         sut.shutdown().expect("clean shutdown");
     }
 }

@@ -3,12 +3,17 @@
 //! **byte-identically** to a naive oracle replayed through round `v` —
 //! at every worker thread count × shard count combination, for views
 //! taken mid-burst, for stale views held across later commits, and for
-//! views of recovered state after a restart.
+//! views of recovered state after a restart. `ReadView::advance`, which
+//! derives each published view from the one before, must equal a full
+//! build after every round.
 
-use dyncon_api::{Connectivity, ExportEdges, Op, OpKind, ReadView, VersionedRead};
+use dyncon_api::{
+    BatchDynamic, Connectivity, ExportEdges, Op, OpKind, ReadView, Relabel, VersionedRead,
+};
 use dyncon_core::BatchDynamicConnectivity;
 use dyncon_durable::{scratch_dir, DurableConfig, DurableServer};
 use dyncon_graphgen::zipf_client_schedules;
+use dyncon_primitives::rng::SplitMix64;
 use dyncon_server::{ConnServer, DynConError, ServerConfig, SubmitOptions};
 use dyncon_shard::{ShardConfig, ShardedServer};
 use dyncon_spanning::NaiveDynamicGraph;
@@ -391,5 +396,148 @@ proptest! {
             }
         }
         server.join();
+    }
+}
+
+const ADVANCE_N: u32 = 24;
+const ADVANCE_ROUNDS: u64 = 24;
+
+/// One round for the `advance` differential, shaped by `kind` against
+/// the oracle's current graph: 0 random mixed ops (self-loops and queries
+/// included), 1 a round that changes nothing, 2 an edge inserted then
+/// deleted and another deleted then reinserted, 3 a merge of up to four
+/// components, 4 a bridge deletion that splits a component (random ops
+/// if the graph has no bridge).
+fn advance_round(oracle: &NaiveDynamicGraph, kind: u64, rng: &mut SplitMix64) -> Vec<Op> {
+    let n = ADVANCE_N as usize;
+    let vertex = |rng: &mut SplitMix64| rng.next_below(u64::from(ADVANCE_N)) as u32;
+    let edges = oracle.export_edges();
+    let absent = |rng: &mut SplitMix64| loop {
+        let (u, v) = (vertex(rng), vertex(rng));
+        if u != v && !oracle.has_edge(u, v) {
+            return (u, v);
+        }
+    };
+    let random = |rng: &mut SplitMix64| -> Vec<Op> {
+        (0..1 + rng.next_below(10))
+            .map(|_| {
+                let (u, v) = (vertex(rng), vertex(rng));
+                match rng.next_below(3) {
+                    0 => Op::Insert(u, v),
+                    1 => Op::Delete(u, v),
+                    _ => Op::Query(u, v),
+                }
+            })
+            .collect()
+    };
+    let w = vertex(rng);
+    match kind {
+        0 => random(rng),
+        1 => {
+            let mut ops: Vec<Op> = edges
+                .iter()
+                .take(3)
+                .map(|&(u, v)| Op::Insert(v, u))
+                .collect();
+            for _ in 0..3 {
+                let (u, v) = absent(rng);
+                ops.push(Op::Delete(u, v));
+            }
+            ops.extend([Op::Insert(w, w), Op::Delete(w, w), Op::Query(w, w)]);
+            ops
+        }
+        2 => {
+            let (u, v) = absent(rng);
+            let mut ops = vec![Op::Insert(u, v), Op::Query(u, v), Op::Delete(v, u)];
+            if !edges.is_empty() {
+                let (a, b) = edges[rng.next_below(edges.len() as u64) as usize];
+                ops.extend([Op::Delete(a, b), Op::Query(a, b), Op::Insert(b, a)]);
+            }
+            ops
+        }
+        3 => {
+            let mut picked: Vec<u32> = Vec::new();
+            let start = vertex(rng);
+            for v in (0..ADVANCE_N).map(|i| (start + i) % ADVANCE_N) {
+                if picked.len() < 4 && picked.iter().all(|&p| !oracle.connected(p, v)) {
+                    picked.push(v);
+                }
+            }
+            let mut ops: Vec<Op> = picked.windows(2).map(|p| Op::Insert(p[0], p[1])).collect();
+            ops.push(Op::Query(picked[0], w));
+            ops
+        }
+        _ => {
+            let start = rng.next_below(edges.len().max(1) as u64) as usize;
+            let bridge = (0..edges.len())
+                .map(|i| edges[(start + i) % edges.len()])
+                .find(|&(u, v)| {
+                    let rest: Vec<(u32, u32)> =
+                        edges.iter().copied().filter(|&e| e != (u, v)).collect();
+                    let labels = dyncon_api::min_labels(n, &rest);
+                    labels[u as usize] != labels[v as usize]
+                });
+            match bridge {
+                Some((u, v)) => vec![Op::Query(u, w), Op::Delete(v, u), Op::Query(u, v)],
+                None => random(rng),
+            }
+        }
+    }
+}
+
+/// Drive `live` through seeded rounds and advance a view alongside it:
+/// every advanced view must equal [`ReadView::build`] of the naive
+/// oracle's export, and both labelling paths must run.
+fn check_advance<L: BatchDynamic>(mut live: L, seed: u64) -> Result<(), TestCaseError> {
+    let n = ADVANCE_N as usize;
+    let mut oracle = NaiveDynamicGraph::new(n);
+    let mut rng = SplitMix64::new(seed);
+    let mut view = ReadView::build(n, 0, Vec::new());
+    let mut spare = None;
+    let (mut merges, mut rebuilds) = (0, 0);
+    for version in 1..=ADVANCE_ROUNDS {
+        // A merge from the empty graph and then a bridge deletion make
+        // sure both paths run; the rest are drawn.
+        let kind = match version {
+            1 => 3,
+            2 => 4,
+            _ => rng.next_below(5),
+        };
+        let ops = advance_round(&oracle, kind, &mut rng);
+        let result = live.apply(&ops).unwrap();
+        prop_assert_eq!(&result, &oracle.apply(&ops).unwrap());
+        let (next, relabel) = view.advance(version, &ops, &result, &live, spare.take());
+        let want = ReadView::build(n, version, oracle.export_edges());
+        prop_assert_eq!(
+            &next,
+            &want,
+            "{} at v{}, ops {:?}",
+            live.backend_name(),
+            version,
+            ops
+        );
+        match relabel {
+            Relabel::Merge => merges += 1,
+            Relabel::Rebuild => rebuilds += 1,
+        }
+        // The caller holds the last reference, so its buffers are reused.
+        spare = Some(std::mem::replace(&mut view, next));
+    }
+    prop_assert!(
+        merges > 0 && rebuilds > 0,
+        "{merges} merges, {rebuilds} rebuilds"
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `ReadView::advance` against a full build, round after round, with
+    /// the paper's structure and then the naive oracle as the live graph.
+    #[test]
+    fn advanced_views_equal_full_builds(seed in any::<u64>()) {
+        check_advance(BatchDynamicConnectivity::new(ADVANCE_N as usize), seed)?;
+        check_advance(NaiveDynamicGraph::new(ADVANCE_N as usize), seed)?;
     }
 }
