@@ -734,8 +734,8 @@ fn e14(cfg: &Cfg) {
 /// snapshot readers. Readers poll `read_view()` and answer connectivity
 /// queries against the returned snapshot, paced at one read per 200 µs
 /// each (hot-spinning would measure CPU steal, not interference). The
-/// acceptance claim: the 16-reader cell stays within the bench_diff
-/// tolerance band (2×) of the 0-reader baseline, because readers share
+/// acceptance claim: the 16-reader cell stays within 2× of the 0-reader
+/// baseline, because readers share
 /// an `Arc` of the published label snapshot and never touch the
 /// admission queue.
 fn e15(cfg: &Cfg) {

@@ -1,18 +1,19 @@
 //! # dyncon-bench
 //!
 //! Shared measurement harness for the experiment suite (EXPERIMENTS.md).
-//! Every experiment exists twice: as a Criterion bench target under
-//! `benches/` and as a table printed by the `experiments` binary
-//! (`cargo run --release -p dyncon-bench --bin experiments`).
+//! Every experiment is a table printed by the `experiments` binary
+//! (`cargo run --release -p dyncon-bench --bin experiments`); the paper's
+//! E1–E10 are also Criterion bench targets under `benches/`. The serving
+//! stacks are timed by the repository benchmark (`perfbench/`).
 
 use dyncon_api::{BatchDynamic, DynConError, Op};
 use dyncon_graphgen::{Batch, UpdateStream};
 use dyncon_server::{ConnServer, SubmitOptions, Ticket};
 use std::time::{Duration, Instant};
 
-/// The thread matrix for the scaling experiments (E7 and the perf-artifact
-/// pipeline): parsed from `DYNCON_THREADS` as a comma-separated list of
-/// positive integers (e.g. `DYNCON_THREADS=1,2,4`), defaulting to `[1, 2]`.
+/// The thread matrix for the scaling experiments (E7, E14 and E15):
+/// parsed from `DYNCON_THREADS` as a comma-separated list of positive
+/// integers (e.g. `DYNCON_THREADS=1,2,4`), defaulting to `[1, 2]`.
 ///
 /// A single-integer `DYNCON_THREADS` also pins the vendored rayon pool's
 /// *default* thread count, so `cargo test` runs under the same bound —
@@ -34,8 +35,8 @@ fn parse_thread_counts(raw: Option<&str>) -> Vec<usize> {
     }
 }
 
-/// The shard-count matrix for the sharding experiments (E14 and the
-/// perf-artifact pipeline): parsed from `DYNCON_SHARDS` the same way
+/// The shard-count matrix for the sharding experiment (E14) and the
+/// sharded tests: parsed from `DYNCON_SHARDS` the same way
 /// [`thread_counts`] parses `DYNCON_THREADS`, defaulting to `[1, 2, 4]`.
 pub fn shard_counts() -> Vec<usize> {
     parse_shard_counts(std::env::var("DYNCON_SHARDS").ok().as_deref())
@@ -52,184 +53,6 @@ fn parse_shard_counts(raw: Option<&str>) -> Vec<usize> {
     } else {
         parsed
     }
-}
-
-/// One row of a `BENCH_PR*.json` perf artifact (the `perf_json` binary's
-/// output): a measurement keyed by `(op, n, batch, threads)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BenchRecord {
-    /// Which measurement the row is (`batch_insert`, `service_throughput`, …).
-    pub op: String,
-    /// Vertex universe size of the run.
-    pub n: u64,
-    /// Batch size / round cap of the run.
-    pub batch: u64,
-    /// Worker thread count of the run.
-    pub threads: u64,
-    /// The measured value (nanoseconds for timings; some rows carry
-    /// counts in this field for schema uniformity).
-    pub median_ns: u128,
-}
-
-impl BenchRecord {
-    /// The identity of a row across artifacts (everything but the value).
-    pub fn key(&self) -> (String, u64, u64, u64) {
-        (self.op.clone(), self.n, self.batch, self.threads)
-    }
-}
-
-/// Parse a `BENCH_PR*.json` artifact. This is not a general JSON parser:
-/// it reads exactly the flat shape `perf_json` writes (a `schema` header
-/// and one object per record with numeric fields), and rejects anything
-/// else with a line-numbered message — so a malformed artifact fails a
-/// CI diff loudly instead of comparing against garbage.
-pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    if !text.contains("\"schema\": \"dyncon-bench-v1\"") {
-        return Err("missing or unknown schema header (want dyncon-bench-v1)".into());
-    }
-    let mut records = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"op\"") {
-            continue;
-        }
-        let field = |name: &str| -> Result<&str, String> {
-            let tag = format!("\"{name}\":");
-            let at = line
-                .find(&tag)
-                .ok_or_else(|| format!("line {}: missing field {name}", ln + 1))?;
-            let rest = &line[at + tag.len()..];
-            Ok(rest
-                .split([',', '}'])
-                .next()
-                .unwrap_or("")
-                .trim()
-                .trim_matches('"'))
-        };
-        let num = |name: &str| -> Result<u128, String> {
-            field(name)?
-                .parse::<u128>()
-                .map_err(|e| format!("line {}: bad {name}: {e}", ln + 1))
-        };
-        records.push(BenchRecord {
-            op: field("op")?.to_string(),
-            n: num("n")? as u64,
-            batch: num("batch")? as u64,
-            threads: num("threads")? as u64,
-            median_ns: num("median_ns")?,
-        });
-    }
-    if records.is_empty() {
-        return Err("no records found".into());
-    }
-    Ok(records)
-}
-
-/// Outcome of [`diff_bench_records`]: row-by-row comparison of two perf
-/// artifacts.
-#[derive(Clone, Debug, Default)]
-pub struct BenchDiff {
-    /// Rows present in the baseline but absent from the candidate —
-    /// always a failure (a silently dropped measurement).
-    pub missing: Vec<BenchRecord>,
-    /// Rows only the candidate has (new measurements; informational).
-    pub added: Vec<BenchRecord>,
-    /// Matched rows whose candidate value left the tolerance band:
-    /// `(baseline, candidate, ratio)` with `ratio = candidate / baseline`.
-    pub deviations: Vec<(BenchRecord, BenchRecord, f64)>,
-    /// Matched rows inside the band.
-    pub matched: usize,
-}
-
-/// Compare two artifacts row by row. Rows pair up by
-/// [`BenchRecord::key`]; a matched row deviates when the value ratio
-/// falls outside `[1/(1+tolerance), 1+tolerance]` (so `tolerance = 0.5`
-/// flags changes beyond ±50% in either direction). Timing noise on
-/// shared CI runners is real; callers decide whether deviations warn or
-/// fail.
-pub fn diff_bench_records(
-    baseline: &[BenchRecord],
-    candidate: &[BenchRecord],
-    tolerance: f64,
-) -> BenchDiff {
-    let mut diff = BenchDiff::default();
-    let mut unseen: Vec<&BenchRecord> = candidate.iter().collect();
-    for base in baseline {
-        match unseen.iter().position(|c| c.key() == base.key()) {
-            None => diff.missing.push(base.clone()),
-            Some(at) => {
-                let cand = unseen.swap_remove(at);
-                let ratio = cand.median_ns as f64 / (base.median_ns as f64).max(1.0);
-                let band = 1.0 + tolerance.max(0.0);
-                if ratio > band || ratio < 1.0 / band {
-                    diff.deviations.push((base.clone(), cand.clone(), ratio));
-                } else {
-                    diff.matched += 1;
-                }
-            }
-        }
-    }
-    diff.added = unseen.into_iter().cloned().collect();
-    diff
-}
-
-/// Ops whose `median_ns` field carries a count or a ratio rather than a
-/// wall time. Counts are machine-speed invariant, so normalization
-/// would *introduce* the machine factor it is meant to remove — these
-/// rows always compare raw.
-pub const COUNT_OPS: &[&str] = &[
-    "queue_depth_max",
-    "shard_boundary_ops",
-    "trace_overhead_pct",
-    "export_lag_ms",
-];
-
-/// [`diff_bench_records`] with the machine factor divided out: both
-/// sides are expressed relative to their own **calibration row** — the
-/// `calibrate` op at `threads == 1` — so a uniformly 2× slower CI
-/// runner shows every ratio ≈ 1.0 instead of 2.0, and the tolerance
-/// band can be tightened into a gate. Each matched timing row deviates
-/// when `(candidate/baseline) / (calib_cand/calib_base)` leaves
-/// `[1/(1+tolerance), 1+tolerance]`; rows in [`COUNT_OPS`] still
-/// compare raw. Errors when either side lacks the calibration row.
-pub fn diff_bench_records_normalized(
-    baseline: &[BenchRecord],
-    candidate: &[BenchRecord],
-    tolerance: f64,
-    calibrate: &str,
-) -> Result<BenchDiff, String> {
-    let calib = |records: &[BenchRecord], side: &str| -> Result<f64, String> {
-        records
-            .iter()
-            .find(|r| r.op == calibrate && r.threads == 1)
-            .map(|r| (r.median_ns as f64).max(1.0))
-            .ok_or_else(|| format!("{side} has no calibration row {calibrate} at threads=1"))
-    };
-    let calib_ratio = calib(candidate, "candidate")? / calib(baseline, "baseline")?;
-    let mut diff = BenchDiff::default();
-    let mut unseen: Vec<&BenchRecord> = candidate.iter().collect();
-    for base in baseline {
-        match unseen.iter().position(|c| c.key() == base.key()) {
-            None => diff.missing.push(base.clone()),
-            Some(at) => {
-                let cand = unseen.swap_remove(at);
-                let raw = cand.median_ns as f64 / (base.median_ns as f64).max(1.0);
-                let ratio = if COUNT_OPS.contains(&base.op.as_str()) {
-                    raw
-                } else {
-                    raw / calib_ratio
-                };
-                let band = 1.0 + tolerance.max(0.0);
-                if ratio > band || ratio < 1.0 / band {
-                    diff.deviations.push((base.clone(), cand.clone(), ratio));
-                } else {
-                    diff.matched += 1;
-                }
-            }
-        }
-    }
-    diff.added = unseen.into_iter().cloned().collect();
-    Ok(diff)
 }
 
 /// Wall-clock a closure.
@@ -547,145 +370,5 @@ mod tests {
         assert_eq!(parse_shard_counts(None), vec![1, 2, 4]);
         assert_eq!(parse_shard_counts(Some("2,8")), vec![2, 8]);
         assert_eq!(parse_shard_counts(Some("0")), vec![1, 2, 4]);
-    }
-
-    fn artifact(rows: &[(&str, u64, u128)]) -> String {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|(op, threads, ns)| {
-                format!(
-                    r#"  {{"op":"{op}","n":16384,"batch":4096,"threads":{threads},"median_ns":{ns}}}"#
-                )
-            })
-            .collect();
-        format!(
-            "{{\n\"schema\": \"dyncon-bench-v1\",\n\"records\": [\n{}\n]\n}}\n",
-            body.join(",\n")
-        )
-    }
-
-    #[test]
-    fn bench_json_round_trips_through_the_parser() {
-        use super::parse_bench_json;
-        let text = artifact(&[("batch_insert", 1, 1000), ("batch_insert", 2, 600)]);
-        let records = parse_bench_json(&text).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].op, "batch_insert");
-        assert_eq!(
-            (records[0].n, records[0].batch, records[0].threads),
-            (16384, 4096, 1)
-        );
-        assert_eq!(records[1].median_ns, 600);
-
-        assert!(parse_bench_json("{}").is_err(), "schema header required");
-        assert!(
-            parse_bench_json("{\"schema\": \"dyncon-bench-v1\",\n\"records\": []}").is_err(),
-            "empty artifact rejected"
-        );
-        let bad = artifact(&[("x", 1, 5)]).replace(":5}", ":oops}");
-        let err = parse_bench_json(&bad).unwrap_err();
-        assert!(err.contains("median_ns"), "{err}");
-    }
-
-    #[test]
-    fn bench_diff_classifies_rows() {
-        use super::{diff_bench_records, parse_bench_json};
-        let base = parse_bench_json(&artifact(&[
-            ("batch_insert", 1, 1000),
-            ("batch_insert", 2, 600),
-            ("recovery_ms", 1, 5000),
-        ]))
-        .unwrap();
-        let cand = parse_bench_json(&artifact(&[
-            ("batch_insert", 1, 1100),     // within ±50%
-            ("batch_insert", 2, 2000),     // 3.3x — deviation
-            ("shard_throughput", 1, 9000), // new row
-        ]))
-        .unwrap();
-        let diff = diff_bench_records(&base, &cand, 0.5);
-        assert_eq!(diff.matched, 1);
-        assert_eq!(diff.missing.len(), 1, "recovery_ms vanished");
-        assert_eq!(diff.missing[0].op, "recovery_ms");
-        assert_eq!(diff.added.len(), 1);
-        assert_eq!(diff.added[0].op, "shard_throughput");
-        assert_eq!(diff.deviations.len(), 1);
-        let (b, c, ratio) = &diff.deviations[0];
-        assert_eq!((b.threads, c.median_ns), (2, 2000));
-        assert!((ratio - 2000.0 / 600.0).abs() < 1e-9);
-        // Speedups beyond the band are deviations too (a 10x "win" is
-        // usually a broken measurement, not a miracle).
-        let fast = diff_bench_records(
-            &base[..1],
-            &parse_bench_json(&artifact(&[("batch_insert", 1, 50)])).unwrap(),
-            0.5,
-        );
-        assert_eq!(fast.deviations.len(), 1);
-    }
-
-    #[test]
-    fn normalized_diff_divides_out_the_machine_factor() {
-        use super::{diff_bench_records, diff_bench_records_normalized, parse_bench_json};
-        let base = parse_bench_json(&artifact(&[
-            ("service_throughput", 1, 1_000_000),
-            ("batch_insert", 1, 400_000),
-            ("recovery_ms", 1, 5_000_000),
-            ("queue_depth_max", 1, 6),
-        ]))
-        .unwrap();
-        // A uniformly 2x slower runner: every timing doubled, counts
-        // unchanged. The raw diff at ±20% flags every timing row; the
-        // normalized diff sees every ratio as exactly 1.0.
-        let cand = parse_bench_json(&artifact(&[
-            ("service_throughput", 1, 2_000_000),
-            ("batch_insert", 1, 800_000),
-            ("recovery_ms", 1, 10_000_000),
-            ("queue_depth_max", 1, 6),
-        ]))
-        .unwrap();
-        let raw = diff_bench_records(&base, &cand, 0.2);
-        assert_eq!(raw.deviations.len(), 3);
-        let norm = diff_bench_records_normalized(&base, &cand, 0.2, "service_throughput").unwrap();
-        assert_eq!(norm.deviations.len(), 0);
-        assert_eq!(norm.matched, 4);
-
-        // A genuine regression survives normalization: recovery got 3x
-        // slower while the calibration row only doubled.
-        let regressed = parse_bench_json(&artifact(&[
-            ("service_throughput", 1, 2_000_000),
-            ("batch_insert", 1, 800_000),
-            ("recovery_ms", 1, 30_000_000),
-            ("queue_depth_max", 1, 6),
-        ]))
-        .unwrap();
-        let norm =
-            diff_bench_records_normalized(&base, &regressed, 0.2, "service_throughput").unwrap();
-        assert_eq!(norm.deviations.len(), 1);
-        let (b, _, ratio) = &norm.deviations[0];
-        assert_eq!(b.op, "recovery_ms");
-        assert!((ratio - 3.0).abs() < 1e-9, "normalized ratio {ratio}");
-
-        // Count rows stay raw: a doubled queue depth deviates even
-        // though the machine factor would excuse a doubled timing.
-        let counts = parse_bench_json(&artifact(&[
-            ("service_throughput", 1, 2_000_000),
-            ("queue_depth_max", 1, 12),
-        ]))
-        .unwrap();
-        let norm = diff_bench_records_normalized(&base[..1], &counts, 0.2, "service_throughput")
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(norm.matched, 1, "calibration row matches itself");
-        let counts_diff =
-            diff_bench_records_normalized(&base[3..], &counts[1..], 0.2, "service_throughput");
-        assert!(counts_diff.is_err(), "missing calibration row is an error");
-        let both = [base[0].clone(), base[3].clone()];
-        let norm =
-            diff_bench_records_normalized(&both, &counts, 0.2, "service_throughput").unwrap();
-        assert_eq!(norm.deviations.len(), 1);
-        assert_eq!(norm.deviations[0].0.op, "queue_depth_max");
-
-        // Missing rows are still always reported.
-        let norm =
-            diff_bench_records_normalized(&base, &cand[..2], 0.2, "service_throughput").unwrap();
-        assert_eq!(norm.missing.len(), 2);
     }
 }

@@ -87,9 +87,16 @@ where
             if lo == hi {
                 return;
             }
-            // SAFETY: bucket b exclusively owns per_bucket[b] and the
-            // pairs range [lo, hi).
+            // SAFETY: task b alone touches per_bucket[b], and nothing else
+            // reads `per_bucket` until every task has finished.
             let groups = unsafe { out.get_mut(b) };
+            // SAFETY: [lo, hi) is bucket b's range from the exclusive scan
+            // (hi <= pairs.len()), disjoint from every other bucket's, and
+            // this function holds `pairs` by unique borrow, so no other
+            // reference reads or writes these elements while task b sorts
+            // them. (The pointer comes from `as_ptr` on a shared reborrow;
+            // an `as_mut_ptr` taken before the loop is the form that
+            // `Vec`'s documentation sanctions for writes.)
             let slice = unsafe {
                 std::slice::from_raw_parts_mut(pairs_ref.as_ptr().add(lo) as *mut (K, V), hi - lo)
             };

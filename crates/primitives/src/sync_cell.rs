@@ -16,10 +16,15 @@ pub struct SyncSlice<'a, T> {
     data: &'a [UnsafeCell<T>],
 }
 
-// SAFETY: all mutation goes through `unsafe fn write/get_mut`, whose
-// contracts require caller-proved disjointness; concurrent reads of
-// untouched elements are fine because `T: Sync` is required for sharing.
+// SAFETY: moving a `SyncSlice` to another thread moves only the shared
+// borrow of the cells; every write through it goes through
+// `unsafe fn write/get_mut`, whose contracts require caller-proved
+// disjointness, and `T: Send` lets the written values cross threads.
 unsafe impl<'a, T: Send + Sync> Send for SyncSlice<'a, T> {}
+// SAFETY: sharing a `SyncSlice` lets several threads call `write` and
+// `get_mut` at once; their contracts make the indices touched within a
+// phase disjoint, so no element is written while another thread reads or
+// writes it, and `T: Sync` covers concurrent reads of unwritten elements.
 unsafe impl<'a, T: Send + Sync> Sync for SyncSlice<'a, T> {}
 
 impl<'a, T> SyncSlice<'a, T> {
@@ -111,6 +116,9 @@ mod tests {
             (0..10usize).into_par_iter().for_each(|chunk| {
                 for i in 0..10 {
                     let idx = chunk * 10 + i;
+                    // SAFETY: task `chunk` alone writes indices
+                    // chunk*10..chunk*10+10 (< 100), and nothing reads `out`
+                    // until every task has finished.
                     unsafe { s.write(idx, chunk as u32) };
                 }
             });
