@@ -101,8 +101,6 @@ fn e3(cfg: &Cfg) {
             let mut g: BatchDynamicConnectivity = Builder::new(n).algorithm(algo).build().unwrap();
             g.batch_insert(edges);
             g.reset_stats();
-            let stream = UpdateStream::insert_then_delete(&[], 1, 256, 4);
-            drop(stream);
             let (d, _) = time(|| {
                 for chunk in edges.chunks(256) {
                     g.batch_delete(chunk);
@@ -272,15 +270,15 @@ fn e6(cfg: &Cfg) {
 
 /// E7 — self-relative parallel speedup across the `DYNCON_THREADS` matrix
 /// (comma-separated list, default `1,2`; speedups are relative to the
-/// first entry).
+/// first entry). The last column deletes a quarter of a random spanning
+/// tree's edges in one batch: every deletion is a tree edge with no
+/// replacement, so it times the replacement search when it finds nothing.
 fn e7(cfg: &Cfg) {
     let n = (1 << 16) / cfg.scale;
     let edges = erdos_renyi(n, 2 * n, 13);
-    let run = |threads: usize| -> (
-        std::time::Duration,
-        std::time::Duration,
-        std::time::Duration,
-    ) {
+    let tree = random_tree(n, 13);
+    let tree_dels: Vec<(u32, u32)> = tree.iter().copied().step_by(4).collect();
+    let run = |threads: usize| -> [std::time::Duration; 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -301,28 +299,29 @@ fn e7(cfg: &Cfg) {
                     g.batch_delete(chunk);
                 }
             });
-            (ti, tq, td)
+            let mut f = BatchDynamicConnectivity::new(n);
+            f.batch_insert(&tree);
+            let (tt, _) = time(|| f.batch_delete(&tree_dels));
+            [ti, tq, td, tt]
         })
     };
     let counts = dyncon_bench::thread_counts();
     let results: Vec<(usize, _)> = counts.iter().map(|&t| (t, run(t))).collect();
-    let (_, (i1, q1, d1)) = results[0];
+    let first = results[0].1;
     let mut rows = Vec::new();
-    for &(t, (ti, tq, td)) in &results {
-        rows.push(vec![
-            t.to_string(),
-            us(ti),
-            format!("{:.2}×", i1.as_secs_f64() / ti.as_secs_f64()),
-            us(tq),
-            format!("{:.2}×", q1.as_secs_f64() / tq.as_secs_f64()),
-            us(td),
-            format!("{:.2}×", d1.as_secs_f64() / td.as_secs_f64()),
-        ]);
+    for (t, times) in &results {
+        let mut row = vec![t.to_string()];
+        for (d, d1) in times.iter().zip(first) {
+            row.push(us(*d));
+            row.push(format!("{:.2}×", d1.as_secs_f64() / d.as_secs_f64()));
+        }
+        rows.push(row);
     }
     print_table(
         &format!(
-            "E7 — thread scaling, n = {n}, m = {}, insert k=2^14 / query k=2^15 / delete k=2^13 (speedup vs {} thread{})",
+            "E7 — thread scaling, n = {n}, m = {}, insert k=2^14 / query k=2^15 / delete k=2^13 / tree delete k={} (speedup vs {} thread{})",
             edges.len(),
+            tree_dels.len(),
             counts[0],
             if counts[0] == 1 { "" } else { "s" }
         ),
@@ -333,6 +332,8 @@ fn e7(cfg: &Cfg) {
             "query µs",
             "speedup",
             "delete µs",
+            "speedup",
+            "tree delete µs",
             "speedup",
         ],
         &rows,
@@ -823,64 +824,87 @@ fn e15(cfg: &Cfg) {
     );
 }
 
+/// An experiment's command-line name and the function that prints its table.
+type Experiment = (&'static str, fn(&Cfg));
+
+/// One table per experiment, in the order a full run prints them.
+const EXPERIMENTS: [Experiment; 15] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+    ("e15", e15),
+];
+
+/// Parse `[--quick] [e1 e4 ...]` into the scale and the selected
+/// experiments in table order (all of them when no name is given). An
+/// unknown option or experiment name is an error naming the valid ones.
+fn parse_args(args: &[String]) -> Result<(Cfg, Vec<Experiment>), String> {
+    let mut quick = false;
+    let mut names = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            name if EXPERIMENTS.iter().any(|(e, _)| *e == name) => names.push(name),
+            other => {
+                let valid: Vec<&str> = EXPERIMENTS.iter().map(|(e, _)| *e).collect();
+                return Err(format!(
+                    "unknown argument `{other}`; usage: experiments [--quick] [{}]",
+                    valid.join(" ")
+                ));
+            }
+        }
+    }
+    let selected = EXPERIMENTS
+        .into_iter()
+        .filter(|(e, _)| names.is_empty() || names.contains(e))
+        .collect();
+    Ok((
+        Cfg {
+            scale: if quick { 4 } else { 1 },
+        },
+        selected,
+    ))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let cfg = Cfg {
-        scale: if quick { 4 } else { 1 },
-    };
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
-    let all = wanted.is_empty();
-    let run = |name: &str| all || wanted.contains(&name);
+    let (cfg, selected) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    });
+    println!("# dyncon experiment tables (quick = {})", cfg.scale > 1);
+    for (_, run) in selected {
+        run(&cfg);
+    }
+}
 
-    println!("# dyncon experiment tables (quick = {quick})");
-    if run("e1") {
-        e1(&cfg);
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn names(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|(_, selected)| selected.iter().map(|(e, _)| *e).collect())
     }
-    if run("e2") {
-        e2(&cfg);
-    }
-    if run("e3") {
-        e3(&cfg);
-    }
-    if run("e4") {
-        e4(&cfg);
-    }
-    if run("e5") {
-        e5(&cfg);
-    }
-    if run("e6") {
-        e6(&cfg);
-    }
-    if run("e7") {
-        e7(&cfg);
-    }
-    if run("e8") {
-        e8(&cfg);
-    }
-    if run("e9") {
-        e9(&cfg);
-    }
-    if run("e10") {
-        e10(&cfg);
-    }
-    if run("e11") {
-        e11(&cfg);
-    }
-    if run("e12") {
-        e12(&cfg);
-    }
-    if run("e13") {
-        e13(&cfg);
-    }
-    if run("e14") {
-        e14(&cfg);
-    }
-    if run("e15") {
-        e15(&cfg);
+
+    #[test]
+    fn selector_picks_experiments_in_table_order() {
+        assert_eq!(names(&[]).unwrap().len(), 15);
+        assert_eq!(names(&["--quick"]).unwrap().len(), 15);
+        assert_eq!(names(&["e13", "--quick", "e7"]).unwrap(), ["e7", "e13"]);
+        let err = names(&["--quick", "e99"]).unwrap_err();
+        assert!(err.contains("e99") && err.contains("e15"), "{err}");
+        assert!(names(&["--quik"]).is_err());
     }
 }

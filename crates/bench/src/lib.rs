@@ -1,9 +1,9 @@
 //! # dyncon-bench
 //!
 //! Shared measurement harness for the experiment suite (EXPERIMENTS.md).
-//! Every experiment is a table printed by the `experiments` binary
-//! (`cargo run --release -p dyncon-bench --bin experiments`); the paper's
-//! E1–E10 are also Criterion bench targets under `benches/`. The serving
+//! Every experiment, the paper's E1–E10 and the serving E11–E15, is one
+//! table printed by the `experiments` binary
+//! (`cargo run --release -p dyncon-bench --bin experiments`). The serving
 //! stacks are timed by the repository benchmark (`perfbench/`).
 
 use dyncon_api::{BatchDynamic, DynConError, Op};
@@ -19,37 +19,26 @@ use std::time::{Duration, Instant};
 /// *default* thread count, so `cargo test` runs under the same bound —
 /// that is what the CI thread matrix exercises.
 pub fn thread_counts() -> Vec<usize> {
-    parse_thread_counts(std::env::var("DYNCON_THREADS").ok().as_deref())
-}
-
-fn parse_thread_counts(raw: Option<&str>) -> Vec<usize> {
-    let parsed: Vec<usize> = raw
-        .unwrap_or("")
-        .split(',')
-        .filter_map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-        .collect();
-    if parsed.is_empty() {
-        vec![1, 2]
-    } else {
-        parsed
-    }
+    parse_counts(std::env::var("DYNCON_THREADS").ok().as_deref(), &[1, 2])
 }
 
 /// The shard-count matrix for the sharding experiment (E14) and the
 /// sharded tests: parsed from `DYNCON_SHARDS` the same way
 /// [`thread_counts`] parses `DYNCON_THREADS`, defaulting to `[1, 2, 4]`.
 pub fn shard_counts() -> Vec<usize> {
-    parse_shard_counts(std::env::var("DYNCON_SHARDS").ok().as_deref())
+    parse_counts(std::env::var("DYNCON_SHARDS").ok().as_deref(), &[1, 2, 4])
 }
 
-fn parse_shard_counts(raw: Option<&str>) -> Vec<usize> {
+/// The positive integers of a comma-separated list, or `default` when
+/// there are none.
+fn parse_counts(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
     let parsed: Vec<usize> = raw
         .unwrap_or("")
         .split(',')
         .filter_map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
         .collect();
     if parsed.is_empty() {
-        vec![1, 2, 4]
+        default.to_vec()
     } else {
         parsed
     }
@@ -302,7 +291,7 @@ pub fn lg_factor(n: usize, k: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{drive_open_loop, latency_quantile, parse_thread_counts};
+    use super::{drive_open_loop, latency_quantile, parse_counts};
     use dyncon_api::Op;
     use dyncon_core::BatchDynamicConnectivity;
     use dyncon_server::{ConnServer, ServerConfig};
@@ -355,20 +344,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_parsing() {
-        assert_eq!(parse_thread_counts(None), vec![1, 2]);
-        assert_eq!(parse_thread_counts(Some("")), vec![1, 2]);
-        assert_eq!(parse_thread_counts(Some("4")), vec![4]);
-        assert_eq!(parse_thread_counts(Some("1,2,4")), vec![1, 2, 4]);
-        assert_eq!(parse_thread_counts(Some(" 1 , 8 ")), vec![1, 8]);
-        assert_eq!(parse_thread_counts(Some("0,junk")), vec![1, 2]);
-    }
-
-    #[test]
-    fn shard_count_parsing() {
-        use super::parse_shard_counts;
-        assert_eq!(parse_shard_counts(None), vec![1, 2, 4]);
-        assert_eq!(parse_shard_counts(Some("2,8")), vec![2, 8]);
-        assert_eq!(parse_shard_counts(Some("0")), vec![1, 2, 4]);
+    fn count_parsing() {
+        let (threads, shards) = (&[1, 2][..], &[1, 2, 4][..]);
+        for (raw, default, want) in [
+            (None, threads, threads),
+            (Some(""), threads, threads),
+            (Some("4"), threads, &[4]),
+            (Some("1,2,4"), threads, &[1, 2, 4]),
+            (Some(" 1 , 8 "), threads, &[1, 8]),
+            (Some("0,junk"), threads, threads),
+            (None, shards, shards),
+            (Some("2,8"), shards, &[2, 8]),
+            (Some("0"), shards, shards),
+        ] {
+            assert_eq!(parse_counts(raw, default), want, "input {raw:?}");
+        }
     }
 }

@@ -78,7 +78,7 @@ where
         (0..nbuckets).into_par_iter().map(|_| Vec::new()).collect();
     {
         let out = SyncSlice::new(&mut per_bucket);
-        let pairs_ref: &Vec<(K, V)> = pairs;
+        let buckets = SyncSlice::new(pairs);
         let offsets_ref = &offsets;
         let plain_ref = &plain;
         (0..nbuckets).into_par_iter().for_each(|b| {
@@ -92,14 +92,8 @@ where
             let groups = unsafe { out.get_mut(b) };
             // SAFETY: [lo, hi) is bucket b's range from the exclusive scan
             // (hi <= pairs.len()), disjoint from every other bucket's, and
-            // this function holds `pairs` by unique borrow, so no other
-            // reference reads or writes these elements while task b sorts
-            // them. (The pointer comes from `as_ptr` on a shared reborrow;
-            // an `as_mut_ptr` taken before the loop is the form that
-            // `Vec`'s documentation sanctions for writes.)
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(pairs_ref.as_ptr().add(lo) as *mut (K, V), hi - lo)
-            };
+            // nothing else reads `pairs` until every task has finished.
+            let slice = unsafe { buckets.range_mut(lo..hi) };
             // Full-pair sort: erases the scatter pass's scheduling-dependent
             // slot order (see the determinism contract above).
             slice.sort_unstable();

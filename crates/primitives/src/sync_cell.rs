@@ -9,6 +9,7 @@
 //! site.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 
 /// A shared view of a mutable slice permitting racy-by-construction writes
 /// to *disjoint* indices from multiple threads.
@@ -18,13 +19,15 @@ pub struct SyncSlice<'a, T> {
 
 // SAFETY: moving a `SyncSlice` to another thread moves only the shared
 // borrow of the cells; every write through it goes through
-// `unsafe fn write/get_mut`, whose contracts require caller-proved
-// disjointness, and `T: Send` lets the written values cross threads.
+// `unsafe fn write/get_mut/range_mut`, whose contracts require
+// caller-proved disjointness, and `T: Send` lets the written values cross
+// threads.
 unsafe impl<'a, T: Send + Sync> Send for SyncSlice<'a, T> {}
-// SAFETY: sharing a `SyncSlice` lets several threads call `write` and
-// `get_mut` at once; their contracts make the indices touched within a
-// phase disjoint, so no element is written while another thread reads or
-// writes it, and `T: Sync` covers concurrent reads of unwritten elements.
+// SAFETY: sharing a `SyncSlice` lets several threads call `write`,
+// `get_mut` and `range_mut` at once; their contracts make the indices
+// touched within a phase disjoint, so no element is written while another
+// thread reads or writes it, and `T: Sync` covers concurrent reads of
+// unwritten elements.
 unsafe impl<'a, T: Send + Sync> Sync for SyncSlice<'a, T> {}
 
 impl<'a, T> SyncSlice<'a, T> {
@@ -68,6 +71,27 @@ impl<'a, T> SyncSlice<'a, T> {
         &mut *self.data[i].get()
     }
 
+    /// Mutable access to the elements in `range`.
+    ///
+    /// # Safety
+    /// `range` lies inside the slice, and no other thread reads or writes
+    /// any index in it during the current parallel phase: ranges handed to
+    /// concurrent tasks must be disjoint.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range_mut(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(
+            range.start <= range.end && range.end <= self.data.len(),
+            "range {range:?} outside a slice of {}",
+            self.data.len()
+        );
+        // `UnsafeCell::raw_get` turns the shared cell pointer into a
+        // pointer that may be written through; `UnsafeCell<T>` has `T`'s
+        // layout, so the cells in `range` are `range.len()` consecutive `T`s.
+        let first = UnsafeCell::raw_get(self.data.as_ptr().add(range.start));
+        std::slice::from_raw_parts_mut(first, range.end - range.start)
+    }
+
     /// Read element `i`.
     ///
     /// # Safety
@@ -105,6 +129,44 @@ mod tests {
         let s = SyncSlice::new(&mut v);
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn disjoint_parallel_ranges_write_each_element_once() {
+        // Uneven ranges (lengths 0, 1, 2, ...) tiling the whole slice.
+        let bounds: Vec<usize> = (0..64usize)
+            .scan(0, |end, len| {
+                *end += len;
+                Some(*end)
+            })
+            .collect();
+        let mut v = vec![0u32; *bounds.last().unwrap()];
+        {
+            let s = SyncSlice::new(&mut v);
+            (0..bounds.len()).into_par_iter().for_each(|r| {
+                let lo = if r == 0 { 0 } else { bounds[r - 1] };
+                // SAFETY: range r is [bounds[r-1], bounds[r]), inside the
+                // slice and disjoint from every other task's range, and
+                // nothing reads `v` until every task has finished.
+                let part = unsafe { s.range_mut(lo..bounds[r]) };
+                for x in part {
+                    *x += 1;
+                }
+            });
+        }
+        // A missed element reads 0, an element two ranges overlap reads 2.
+        assert!(v.iter().all(|&x| x == 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside a slice of 4")]
+    fn range_past_the_end_is_caught_in_debug_builds() {
+        let mut v = [0u8; 4];
+        let s = SyncSlice::new(&mut v);
+        // SAFETY: the range is out of bounds on purpose; the debug bounds
+        // check panics before any element is touched.
+        let _ = unsafe { s.range_mut(2..5) };
     }
 
     #[test]
